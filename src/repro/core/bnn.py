@@ -10,11 +10,20 @@ A gate may mirror a *stack* of gates: the vectorized engine concatenates
 the per-gate weight matrices of a whole phase along the neuron axis and
 builds one ``BinaryGate`` over the stack, so a single XNOR/popcount pass
 (:meth:`BinaryGate.evaluate_packed`) covers every gate of the cell.
+
+The gate stores its weight signs once, packed at construction into the
+word-major ``(W, N)`` uint64 layout of
+:func:`~repro.core.binarization.binary_dot_packed`: row ``k`` holds
+word ``k`` of all ``N`` neurons, so the kernel's per-word pass reads one
+contiguous row.  A phase evaluation at batch ``B`` then costs one
+``(B, N)`` XOR/popcount/add slab per 64-bit operand word.  The ±1 int8
+matrix of the reference path (``weights_bin``) is unpacked from those
+words on first use only.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +32,7 @@ from repro.core.binarization import (
     binary_dot,
     binary_dot_packed,
     pack_signs,
+    unpack_signs,
 )
 
 Array = np.ndarray
@@ -36,8 +46,8 @@ class BinaryGate:
         w_h: full-precision recurrent weights ``(H, R)``.
         use_packed: route :meth:`evaluate` through the XNOR/popcount path
             instead of the ±1 matmul (identical results; the packed path
-            mirrors the hardware BDPU).  Packed weights are built lazily
-            either way, so :meth:`evaluate_packed` is always available.
+            mirrors the hardware BDPU).  :meth:`evaluate_packed` is always
+            available.
     """
 
     def __init__(self, w_x: Array, w_h: Array, use_packed: bool = False):
@@ -55,22 +65,14 @@ class BinaryGate:
         self.recurrent_size = w_h.shape[1]
         self.n_bits = self.input_size + self.recurrent_size
         self.use_packed = use_packed
-        full = np.concatenate([w_x, w_h], axis=1)
-        self.weights_bin = binarize(full)
-        self._weights_packed: Optional[Array] = (
-            pack_signs(full) if use_packed else None
-        )
+        packed = pack_signs(np.concatenate([w_x, w_h], axis=1))
+        #: ``(W, N)`` word-major packed weight signs.
+        self.weight_words = np.ascontiguousarray(packed.T)
 
-    @property
-    def packed_weights(self) -> Array:
-        """uint64-packed weight signs, built on first use and cached.
-
-        ``weights_bin`` is ±1 with the same ``>= 0`` convention as the raw
-        weights, so packing it reproduces ``pack_signs(full)`` exactly.
-        """
-        if self._weights_packed is None:
-            self._weights_packed = pack_signs(self.weights_bin)
-        return self._weights_packed
+    @cached_property
+    def weights_bin(self) -> Array:
+        """``(N, D)`` ±1 int8 weight signs, unpacked on first use."""
+        return unpack_signs(self.weight_words.T, self.n_bits)
 
     def evaluate(self, x: Array, h: Array) -> Array:
         """Binary dot products for operands ``x`` (B, E) and ``h`` (B, R).
@@ -94,7 +96,7 @@ class BinaryGate:
             )
         if self.use_packed:
             return binary_dot_packed(
-                self.packed_weights, pack_signs(operand), self.n_bits
+                self.weight_words, pack_signs(operand), self.n_bits
             )
         return binary_dot(self.weights_bin, binarize(operand))
 
@@ -106,7 +108,7 @@ class BinaryGate:
         reduces to ``n_bits - 2 * popcount(w XOR x)`` per neuron,
         regardless of ``use_packed`` (the integers are identical).
         """
-        return binary_dot_packed(self.packed_weights, packed_operand, self.n_bits)
+        return binary_dot_packed(self.weight_words, packed_operand, self.n_bits)
 
     @property
     def storage_bits(self) -> int:

@@ -10,12 +10,20 @@ Evaluation is *shardable*: ``evaluate_memoized(..., shard=(i, n))``
 evaluates the ``i``-th of ``n`` deterministic partitions of the split
 and returns a partial :class:`MemoizedResult` carrying a mergeable
 :class:`~repro.metrics.accumulators.MetricAccumulator`.
-:func:`merge_shard_results` reduces the partials to the exact result of
-the unsharded run: every per-row model computation is independent of
-which other rows share its batch (numpy GEMM rows are bitwise invariant
-under batch slicing, predictor state is per row, and decoders never
-couple rows), and both the quality metrics and the reuse counters reduce
-over exact integer sums.
+:func:`merge_shard_results` reduces the partials to the result of the
+unsharded run: no row's computation reads another row (predictor state
+is per row and decoders never couple rows), and both the quality metrics
+and the reuse counters reduce over exact integer sums.
+
+What sharding preserves, and what the shard tests and the golden suite
+verify, is the discrete result: predicted labels, decoded sequences,
+corpus quality and reuse counts.  The float activations behind them are
+not bitwise invariant under batch slicing, because a BLAS GEMM may round
+a row differently depending on how many rows it computes at once (with
+numpy 2.4.6 and OpenBLAS 0.3.31 a one-row LSTM forward differs from the
+same row inside a 4-row batch by up to 4e-16).  Differences of that size
+have not flipped a sign bit, a reuse decision or an output on any
+verified split.
 """
 
 from __future__ import annotations

@@ -9,11 +9,15 @@ state per clone — see
 :class:`queue.Queue`; a request checks a replica out, runs its forward,
 and puts it back, so K concurrent ``/infer`` requests run up to N
 forwards genuinely in parallel.  The repo's row-independence invariant —
-per-row model computation is bitwise independent of which other rows
-share a batch, and of which wrapper instance computes it — makes every
-replica's answer bitwise identical to the single-model path of PR 7 and
-to the offline batch evaluation
-(:meth:`repro.models.benchmark.Benchmark.evaluate_memoized`).
+no row's computation reads another row of its batch or depends on which
+wrapper instance computes it — makes every replica return the same
+outputs (labels, transcripts, translations) as a single unpooled model
+and as the offline batch evaluation
+(:meth:`repro.models.benchmark.Benchmark.evaluate_memoized`).  Those
+discrete outputs are what ``repro loadgen --verify`` and the pool tests
+compare.  The float activations behind them are not bitwise
+batch-invariant: a BLAS GEMM may round a row differently depending on
+how many rows it computes at once, by about 1e-16.
 
 On top of the pool sits a **coalescing batcher**.  Requests do not go
 straight to a replica: each validated request becomes a job on a shared
@@ -26,7 +30,7 @@ requests are visibly coalescing, the leader holds a short gather window
 the few-builders/many-front-ends topology of the DAQ event-builder
 papers: many cheap HTTP acceptor threads feeding a small set of compute
 replicas.  Coalescing is latency policy only — by row independence the
-stacked forward is bitwise the per-request forwards.
+stacked forward returns the same outputs as the per-request forwards.
 
 Live retuning swaps the scheme across the *whole pool* atomically: the
 retune checks out every replica (waiting for in-flight forwards, which
@@ -130,8 +134,8 @@ class TaskAdapter:
     One adapter per application domain; ``validate_row`` raises
     :class:`ValueError` with a client-worthy message (the HTTP layer maps
     it to a 400), ``infer`` turns validated rows into JSON-serializable
-    outputs.  Rows of equal shape are stacked into one forward (bitwise
-    identical to per-row evaluation, by the row-independence invariant);
+    outputs.  Rows of equal shape are stacked into one forward (the same
+    outputs as per-row evaluation, by the row-independence invariant);
     ragged batches fall back to row-at-a-time.
 
     ``infer`` takes the model to run explicitly so one adapter serves

@@ -12,6 +12,7 @@ from repro.core.binarization import (
     binary_dot_packed,
     pack_signs,
     padded_bit_length,
+    unpack_signs,
 )
 
 
@@ -70,7 +71,7 @@ class TestPackedPath:
         w = rng.standard_normal((neurons, n_bits))
         x = rng.standard_normal(n_bits)
         reference = binary_dot(binarize(w), binarize(x))
-        packed = binary_dot_packed(pack_signs(w), pack_signs(x), n_bits)
+        packed = binary_dot_packed(pack_signs(w).T, pack_signs(x), n_bits)
         np.testing.assert_array_equal(reference, packed)
 
     def test_packed_batched(self):
@@ -78,7 +79,7 @@ class TestPackedPath:
         w = rng.standard_normal((4, 20))
         x = rng.standard_normal((6, 20))
         reference = binary_dot(binarize(w), binarize(x))
-        packed = binary_dot_packed(pack_signs(w), pack_signs(x), 20)
+        packed = binary_dot_packed(pack_signs(w).T, pack_signs(x), 20)
         assert packed.shape == (6, 4)
         np.testing.assert_array_equal(reference, packed)
 
@@ -86,22 +87,47 @@ class TestPackedPath:
         """Non-multiple-of-64 widths must not corrupt the dot product."""
         w = np.ones((1, 3))
         x = np.ones(3)
-        assert binary_dot_packed(pack_signs(w), pack_signs(x), 3)[0] == 3
+        assert binary_dot_packed(pack_signs(w).T, pack_signs(x), 3)[0] == 3
 
     def test_packed_words_are_uint64(self):
         packed = pack_signs(np.ones((2, 70)))
         assert packed.dtype == np.uint64
         assert packed.shape == (2, 2)  # 70 bits -> two 64-bit words
 
-    @pytest.mark.parametrize("n_bits", [1, 63, 64, 65, 127, 128, 129, 200])
-    def test_word_boundary_widths(self, n_bits):
+    @pytest.mark.parametrize(
+        "n_bits,neurons,rows",
+        [pytest.param(n, 7, (3,), id=str(n)) for n in (1, 63, 64, 65, 127, 128, 129, 200)]
+        + [
+            # Paper phase widths (EESEN, DeepSpeech2, MNMT operands) over a
+            # stacked 4 x 96 phase, at batch 16, batch 1 and a 1-D operand.
+            pytest.param(640, 4 * 96, (16,), id="640-4x96-b16"),
+            pytest.param(640, 4 * 96, (1,), id="640-4x96-b1"),
+            pytest.param(1600, 4 * 96, (16,), id="1600-4x96-b16"),
+            pytest.param(1600, 4 * 96, (1,), id="1600-4x96-b1"),
+            pytest.param(2048, 4 * 96, (16,), id="2048-4x96-b16"),
+            pytest.param(2048, 4 * 96, (), id="2048-4x96-1d"),
+        ],
+    )
+    def test_word_boundary_widths(self, n_bits, neurons, rows):
         """Widths straddling 64-bit word boundaries stay bit-exact."""
         rng = np.random.default_rng(n_bits)
-        w = rng.standard_normal((7, n_bits))
-        x = rng.standard_normal((3, n_bits))
+        w = rng.standard_normal((neurons, n_bits))
+        x = rng.standard_normal(rows + (n_bits,))
         reference = binary_dot(binarize(w), binarize(x))
-        packed = binary_dot_packed(pack_signs(w), pack_signs(x), n_bits)
+        packed = binary_dot_packed(pack_signs(w).T, pack_signs(x), n_bits)
+        assert packed.shape == rows + (neurons,)
+        assert packed.dtype == np.int32
         np.testing.assert_array_equal(reference, packed)
+
+    def test_operand_word_count_must_match(self):
+        w = pack_signs(np.ones((4, 130)))
+        with pytest.raises(ValueError):
+            binary_dot_packed(w.T, pack_signs(np.ones((2, 64))), 130)
+
+    @pytest.mark.parametrize("n_bits", [1, 64, 65, 200])
+    def test_unpack_inverts_pack(self, n_bits):
+        x = np.random.default_rng(n_bits).standard_normal((5, n_bits))
+        np.testing.assert_array_equal(unpack_signs(pack_signs(x), n_bits), binarize(x))
 
 
 class TestSignAgreement:
@@ -123,7 +149,7 @@ class TestSignAgreement:
         w = rng.standard_normal((neurons, n_bits))
         x = rng.standard_normal((2, n_bits))
         float_dot = binarize(x).astype(np.float64) @ binarize(w).astype(np.float64).T
-        packed = binary_dot_packed(pack_signs(w), pack_signs(x), n_bits)
+        packed = binary_dot_packed(pack_signs(w).T, pack_signs(x), n_bits)
         np.testing.assert_array_equal(float_dot, packed.astype(np.float64))
 
     @given(st.integers(min_value=1, max_value=300))
@@ -133,7 +159,7 @@ class TestSignAgreement:
         rng = np.random.default_rng(n_bits)
         v = rng.standard_normal((1, n_bits))
         packed = pack_signs(v)
-        assert binary_dot_packed(packed, packed[0], n_bits)[0] == n_bits
+        assert binary_dot_packed(packed.T, packed[0], n_bits)[0] == n_bits
 
 
 class TestPaddedBitLength:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.binarization import binarize, binary_dot
+from repro.core.binarization import binarize, binary_dot, pack_signs
 from repro.core.bnn import BinaryGate
 from repro.metrics.correlation import pearson
 from repro.nn.lstm import LSTMCell
@@ -58,6 +58,22 @@ class TestEvaluate:
         x = rng.standard_normal((3, 4))
         h = rng.standard_normal((3, 7))
         np.testing.assert_array_equal(plain.evaluate(x, h), packed.evaluate(x, h))
+
+    def test_evaluate_packed_matches_reference_multi_word(self, rng):
+        """A stacked 4 x 96 phase over a 1600-bit (25-word) operand: the
+        popcount kernel on the word-major packed weights equals the ±1
+        matmul on the lazily unpacked ``weights_bin``."""
+        w_x = rng.standard_normal((4 * 96, 700))
+        w_h = rng.standard_normal((4 * 96, 900))
+        gate = BinaryGate(w_x, w_h)
+        np.testing.assert_array_equal(
+            gate.weights_bin, binarize(np.concatenate([w_x, w_h], axis=1))
+        )
+        operand = np.concatenate(
+            [rng.standard_normal((16, 700)), rng.standard_normal((16, 900))], axis=-1
+        )
+        expected = binary_dot(gate.weights_bin, binarize(operand))
+        np.testing.assert_array_equal(gate.evaluate_packed(pack_signs(operand)), expected)
 
     def test_wrong_operand_width_raises(self, rng):
         gate = BinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))

@@ -185,8 +185,8 @@ class TestMemoizedRNN:
         assert stats.reuse_fraction() > 0.05
 
 
-def _run_wrapped(layer_type, rng_seed, vectorized, predictor, x):
-    layer = layer_type(6, 8, rng=np.random.default_rng(rng_seed))
+def _run_wrapped(layer_type, rng_seed, vectorized, predictor, x, hidden=8):
+    layer = layer_type(x.shape[-1], hidden, rng=np.random.default_rng(rng_seed))
     stats = ReuseStats()
     wrapped = MemoizedRecurrentLayer(
         layer,
@@ -201,12 +201,19 @@ class TestVectorizedScalarEquivalence:
     """The batched fast path must be bitwise identical to the per-gate
     scalar reference path, for every cell type and predictor."""
 
+    # (input, hidden): a 14-bit BNN operand in one 64-bit word, then
+    # 160-bit (3-word) and 194-bit (4-word) operands, so the popcount
+    # kernel's per-word accumulation meets the scalar path's ±1 matmul.
+    @pytest.mark.parametrize(
+        "sizes", [(6, 8), (70, 90), (130, 64)], ids=["6x8", "70x90", "130x64"]
+    )
     @pytest.mark.parametrize("layer_type", [LSTMLayer, GRULayer, RNNLayer])
     @pytest.mark.parametrize("predictor", ["bnn", "oracle", "input"])
-    def test_outputs_and_stats_identical(self, rng, layer_type, predictor):
-        x = smooth_inputs(rng, batch=3, steps=25)
-        vec_out, vec_stats = _run_wrapped(layer_type, 31, True, predictor, x)
-        sca_out, sca_stats = _run_wrapped(layer_type, 31, False, predictor, x)
+    def test_outputs_and_stats_identical(self, rng, layer_type, predictor, sizes):
+        inputs, hidden = sizes
+        x = smooth_inputs(rng, batch=3, steps=25, dim=inputs)
+        vec_out, vec_stats = _run_wrapped(layer_type, 31, True, predictor, x, hidden)
+        sca_out, sca_stats = _run_wrapped(layer_type, 31, False, predictor, x, hidden)
         np.testing.assert_array_equal(vec_out, sca_out)
         assert vec_stats.reused == sca_stats.reused
         assert vec_stats.total == sca_stats.total
