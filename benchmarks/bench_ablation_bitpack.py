@@ -2,13 +2,12 @@
 
 This measures the functional simulator itself (all paths are bit-exact;
 the hardware argument for XNOR/popcount is §2.2).  The geometry is the
-one the vectorized engine actually runs: a whole LSTM gate phase stacked
-along the neuron axis (4 x 320 neurons at EESEN's widths), evaluated on
-a batch of operands.  Three paths are compared:
+one the engine actually runs: a whole LSTM gate phase stacked along the
+neuron axis (4 x 320 neurons at EESEN's widths), evaluated on a batch of
+operands.  Two paths are compared:
 
-- the ±1 int matmul reference (``binary_dot``),
-- per-call packing + popcount (``BinaryGate.evaluate_operand`` with
-  ``use_packed=True``),
+- the ±1 int matmul reference (``BinaryGate.evaluate``, i.e.
+  ``binary_dot``),
 - the engine's hot path: the operand packed once via ``pack_signs`` and
   fed to ``BinaryGate.evaluate_packed`` — exactly what
   ``MemoizedRecurrentLayer`` does per phase timestep.
@@ -37,20 +36,13 @@ def phase_operands():
 
 def test_bnn_matmul_path(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
-    gate = BinaryGate(w_x, w_h, use_packed=False)
-    result = benchmark(gate.evaluate, x, h)
-    assert result.shape == (BATCH, GATES * NEURONS)
-
-
-def test_bnn_packed_path(benchmark, phase_operands):
-    w_x, w_h, x, h = phase_operands
-    gate = BinaryGate(w_x, w_h, use_packed=True)
+    gate = BinaryGate(w_x, w_h)
     result = benchmark(gate.evaluate, x, h)
     assert result.shape == (BATCH, GATES * NEURONS)
 
 
 def test_bnn_prepacked_engine_path(benchmark, phase_operands):
-    """The vectorized engine's kernel: pack once, popcount the phase."""
+    """The engine's kernel: pack once, popcount the phase."""
     w_x, w_h, x, h = phase_operands
     gate = BinaryGate(w_x, w_h)
     operand = np.concatenate([x, h], axis=-1)
@@ -64,17 +56,11 @@ def test_bnn_prepacked_engine_path(benchmark, phase_operands):
 
 def test_paths_agree(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
-    plain = BinaryGate(w_x, w_h, use_packed=False)
-    packed = BinaryGate(w_x, w_h, use_packed=True)
+    gate = BinaryGate(w_x, w_h)
     operand = np.concatenate([x, h], axis=-1)
 
-    def all_three():
-        return (
-            plain.evaluate(x, h),
-            packed.evaluate(x, h),
-            plain.evaluate_packed(pack_signs(operand)),
-        )
+    def both():
+        return gate.evaluate(x, h), gate.evaluate_packed(pack_signs(operand))
 
-    a, b, c = benchmark.pedantic(all_three, rounds=1, iterations=1)
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, c)
+    plain, packed = benchmark.pedantic(both, rounds=1, iterations=1)
+    np.testing.assert_array_equal(plain, packed)

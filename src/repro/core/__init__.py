@@ -40,12 +40,7 @@ from repro.core.engine import (
     memoized,
     restore,
 )
-from repro.core.layers import (
-    MemoizedGRULayer,
-    MemoizedLSTMLayer,
-    MemoizedRecurrentLayer,
-    wrap_layer,
-)
+from repro.core.layers import MemoizedRecurrentLayer, wrap_layer
 from repro.core.memo import MemoTable
 from repro.core.quantization import (
     LinearQuantizer,
@@ -57,7 +52,6 @@ from repro.core.predictors import (
     GatePredictor,
     InputSimilarityGatePredictor,
     OracleGatePredictor,
-    StepDecision,
 )
 from repro.core.stats import (
     DetailedReuseStats,
@@ -79,12 +73,9 @@ __all__ = [
     "InputSimilarityGatePredictor",
     "MemoTable",
     "MemoizationScheme",
-    "MemoizedGRULayer",
-    "MemoizedLSTMLayer",
     "MemoizedRecurrentLayer",
     "OracleGatePredictor",
     "ReuseStats",
-    "StepDecision",
     "SweepPoint",
     "ThresholdSweep",
     "apply_memoization",

@@ -10,7 +10,7 @@ Two functionally identical evaluation paths are provided:
 
 Sign bits are packed into ``uint64`` machine words so a whole gate phase
 (every gate of an LSTM/GRU cell, stacked) reduces to XOR + popcount
-operations per neuron — this is the compute path behind the vectorized
+operations per neuron — this is the compute path behind the
 memoization engine, and the reason the BNN predictor costs a popcount
 rather than an integer matmul.
 

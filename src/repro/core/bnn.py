@@ -6,7 +6,7 @@ binarizes the concatenated operand ``[x_t ; h_{t-1}]`` and produces the
 integer dot product of Equation 8 for every neuron — the signal the
 memoization predictor thresholds on.
 
-A gate may mirror a *stack* of gates: the vectorized engine concatenates
+A gate may mirror a *stack* of gates: the engine concatenates
 the per-gate weight matrices of a whole phase along the neuron axis and
 builds one ``BinaryGate`` over the stack, so a single XNOR/popcount pass
 (:meth:`BinaryGate.evaluate_packed`) covers every gate of the cell.
@@ -17,8 +17,9 @@ word-major ``(W, N)`` uint64 layout of
 word ``k`` of all ``N`` neurons, so the kernel's per-word pass reads one
 contiguous row.  A phase evaluation at batch ``B`` then costs one
 ``(B, N)`` XOR/popcount/add slab per 64-bit operand word.  The ±1 int8
-matrix of the reference path (``weights_bin``) is unpacked from those
-words on first use only.
+matrix of the reference path (:meth:`BinaryGate.evaluate`, used by
+:mod:`repro.core.correlation` and the equivalence tests) is unpacked
+from those words on first use only.
 """
 
 from __future__ import annotations
@@ -44,13 +45,9 @@ class BinaryGate:
     Args:
         w_x: full-precision forward weights ``(H, E)``.
         w_h: full-precision recurrent weights ``(H, R)``.
-        use_packed: route :meth:`evaluate` through the XNOR/popcount path
-            instead of the ±1 matmul (identical results; the packed path
-            mirrors the hardware BDPU).  :meth:`evaluate_packed` is always
-            available.
     """
 
-    def __init__(self, w_x: Array, w_h: Array, use_packed: bool = False):
+    def __init__(self, w_x: Array, w_h: Array):
         w_x = np.asarray(w_x)
         w_h = np.asarray(w_h)
         if w_x.ndim != 2 or w_h.ndim != 2:
@@ -64,7 +61,6 @@ class BinaryGate:
         self.input_size = w_x.shape[1]
         self.recurrent_size = w_h.shape[1]
         self.n_bits = self.input_size + self.recurrent_size
-        self.use_packed = use_packed
         packed = pack_signs(np.concatenate([w_x, w_h], axis=1))
         #: ``(W, N)`` word-major packed weight signs.
         self.weight_words = np.ascontiguousarray(packed.T)
@@ -75,7 +71,7 @@ class BinaryGate:
         return unpack_signs(self.weight_words.T, self.n_bits)
 
     def evaluate(self, x: Array, h: Array) -> Array:
-        """Binary dot products for operands ``x`` (B, E) and ``h`` (B, R).
+        """±1 binary dot products for operands ``x`` (B, E) and ``h`` (B, R).
 
         Returns:
             int32 array of shape ``(B, H)`` (or ``(H,)`` for 1-D input).
@@ -85,28 +81,21 @@ class BinaryGate:
         return self.evaluate_operand(np.concatenate([x, h], axis=-1))
 
     def evaluate_operand(self, operand: Array) -> Array:
-        """Binary dot products for an already-concatenated ``[x ; h]``.
-
-        Honors ``use_packed`` (matmul vs popcount — bit-identical).
-        """
+        """±1 binary dot products for an already-concatenated ``[x ; h]``."""
         operand = np.asarray(operand)
         if operand.shape[-1] != self.n_bits:
             raise ValueError(
                 f"operand width {operand.shape[-1]} != expected {self.n_bits}"
-            )
-        if self.use_packed:
-            return binary_dot_packed(
-                self.weight_words, pack_signs(operand), self.n_bits
             )
         return binary_dot(self.weights_bin, binarize(operand))
 
     def evaluate_packed(self, packed_operand: Array) -> Array:
         """Popcount evaluation of pre-packed operand signs.
 
-        The fast path of the vectorized engine: the caller packs the
-        concatenated operand once per phase (``pack_signs``) and this
-        reduces to ``n_bits - 2 * popcount(w XOR x)`` per neuron,
-        regardless of ``use_packed`` (the integers are identical).
+        The engine's kernel: the caller packs the concatenated operand
+        once per phase (``pack_signs``) and this reduces to
+        ``n_bits - 2 * popcount(w XOR x)`` per neuron, the same integers
+        as :meth:`evaluate_operand`.
         """
         return binary_dot_packed(self.weight_words, packed_operand, self.n_bits)
 
@@ -116,7 +105,4 @@ class BinaryGate:
         return self.neurons * self.n_bits
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BinaryGate(neurons={self.neurons}, n_bits={self.n_bits}, "
-            f"packed={self.use_packed})"
-        )
+        return f"BinaryGate(neurons={self.neurons}, n_bits={self.n_bits})"

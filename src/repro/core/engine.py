@@ -49,13 +49,6 @@ class MemoizationScheme:
             with a :class:`ValueError` at construction time.
         throttle: accumulate relative differences across consecutive
             reuses (Eq. 13).  Only meaningful for the BNN predictor.
-        use_packed: evaluate BNNs with the XNOR/popcount bit-packed path.
-        vectorized: route timesteps through the batched fast path — one
-            phase-level predictor over stacked gate weights, uint64
-            packed sign words, contiguous memo tables.  ``False``
-            selects the per-gate scalar reference path.  Results are
-            bitwise identical either way (the equivalence suites pin
-            this), so the flag does not enter cache keys.
         layer_thetas: optional per-layer threshold overrides, keyed by
             the dotted layer name seen in :class:`ReuseStats` (an
             extension beyond the paper's single global threshold; see
@@ -65,8 +58,6 @@ class MemoizationScheme:
     theta: float = 0.05
     predictor: str = "bnn"
     throttle: bool = True
-    use_packed: bool = False
-    vectorized: bool = True
     layer_thetas: Optional[Mapping[str, float]] = None
 
     def __post_init__(self):
@@ -107,9 +98,8 @@ class MemoizationScheme:
     def make_predictor(self, w_x: Array, w_h: Array) -> GatePredictor:
         """Build the predictor for a gate (or stacked gate phase).
 
-        The vectorized engine passes the stacked weights of a whole
-        phase; the scalar path passes one gate's weights.  Either way
-        the predictor covers ``w_x.shape[0]`` neurons.
+        The engine passes the stacked weights of a whole phase; the
+        predictor covers ``w_x.shape[0]`` neurons.
 
         Raises:
             ValueError: if ``predictor`` is not in :data:`PREDICTOR_KINDS`
@@ -120,7 +110,7 @@ class MemoizationScheme:
         if self.predictor == "input":
             return InputSimilarityGatePredictor(self.theta, neurons=w_x.shape[0])
         if self.predictor == "bnn":
-            gate = BinaryGate(w_x, w_h, use_packed=self.use_packed)
+            gate = BinaryGate(w_x, w_h)
             return BNNGatePredictor(gate, self.theta, throttle=self.throttle)
         raise ValueError(
             f"predictor must be one of {PREDICTOR_KINDS}, got "
@@ -141,7 +131,7 @@ def _iter_recurrent_children(
     """Yield ``(parent, attr, layer, dotted_name)`` for wrappable layers."""
     for attr, child in list(module._children.items()):
         dotted = f"{prefix}{attr}"
-        if isinstance(child, tuple(WRAPPABLE)):
+        if isinstance(child, WRAPPABLE):
             yield module, attr, child, dotted
         else:
             yield from _iter_recurrent_children(child, prefix=f"{dotted}.")
@@ -175,13 +165,7 @@ def apply_memoization(
     try:
         for parent, attr, layer, dotted in _iter_recurrent_children(model):
             layer_scheme = scheme.with_theta(scheme.theta_for(dotted))
-            wrapper = wrap_layer(
-                layer,
-                layer_scheme.make_predictor,
-                stats,
-                name=dotted,
-                vectorized=scheme.vectorized,
-            )
+            wrapper = wrap_layer(layer, layer_scheme.make_predictor, stats, name=dotted)
             replacements.append(_Replacement(parent, attr, layer))
             # The wrapper is not a Module; remove the child registration so
             # parameter traversal still sees the original weights through the

@@ -9,16 +9,11 @@ hook decides reuse for all gates and neurons at once, substitutes
 memoized values, and records the decisions into a
 :class:`~repro.core.stats.ReuseStats`.
 
-Two modes share the class:
-
-- *vectorized* (default) — one phase-level predictor built from the
-  stacked gate weights, one packed sign evaluation and one
-  :class:`~repro.core.memo.MemoTable` update per phase.  This is the
-  fast path pinned by ``BENCH_eval.json``.
-- *scalar* — the per-gate reference path: one predictor per gate driven
-  through the legacy :meth:`~repro.core.predictors.GatePredictor.step`
-  closure interface.  Kept as the bitwise baseline the equivalence
-  suites compare against.
+Each phase has one predictor built from the stacked gate weights, one
+packed sign evaluation and one :class:`~repro.core.memo.MemoTable`
+update per timestep.  An installed :class:`~repro.obs.profiler.Profiler`
+only adds timing fences around the predictor and the substitution, so
+profiling cannot change a result bit.
 
 Because every cell is a :class:`~repro.nn.cells.GatedCell`, nothing here
 special-cases LSTM vs GRU vs vanilla RNN — the phase decomposition
@@ -29,7 +24,7 @@ candidate gate's reset-gated operand.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
@@ -63,7 +58,6 @@ class MemoizedRecurrentLayer:
         predictor_factory: PredictorFactory,
         stats: ReuseStats,
         name: str = "rnn",
-        vectorized: bool = True,
     ):
         self.layer = layer
         self.cell: GatedCell = layer.cell
@@ -71,36 +65,23 @@ class MemoizedRecurrentLayer:
         self.hidden_size = layer.hidden_size
         self.stats = stats
         self.name = name
-        self.vectorized = vectorized
-        if vectorized:
-            #: One predictor + memo table per gate phase, indexed by
-            #: ``phase.index``; the predictor covers the stacked weights
-            #: of every gate in the phase.
-            self._phase_predictors: List[GatePredictor] = []
-            self._tables: List[MemoTable] = []
-            for phase in self.cell.PHASES:
-                w_x, w_h = self.cell.stacked_gate_weights(phase.gates)
-                self._phase_predictors.append(predictor_factory(w_x, w_h))
-                self._tables.append(
-                    MemoTable(w_x.shape[0], profile_key=(name, phase.index))
-                )
-        else:
-            self._predictors: Dict[str, GatePredictor] = {}
-            for gate in self.cell.gate_names:
-                w_x, w_h, _ = self.cell.gate_weights(gate)
-                self._predictors[gate] = predictor_factory(w_x, w_h)
+        #: One predictor + memo table per gate phase, indexed by
+        #: ``phase.index``; the predictor covers the stacked weights of
+        #: every gate in the phase.
+        self._phase_predictors: List[GatePredictor] = []
+        self._tables: List[MemoTable] = []
+        for phase in self.cell.PHASES:
+            w_x, w_h = self.cell.stacked_gate_weights(phase.gates)
+            self._phase_predictors.append(predictor_factory(w_x, w_h))
+            self._tables.append(MemoTable(w_x.shape[0], profile_key=(name, phase.index)))
 
     # -- sequence lifecycle --------------------------------------------------
 
     def start_state(self, batch: int):
         """Reset memoization state and return the wrapped layer's state."""
-        if self.vectorized:
-            for predictor, table in zip(self._phase_predictors, self._tables):
-                predictor.begin_sequence(batch)
-                table.begin_sequence(batch)
-        else:
-            for predictor in self._predictors.values():
-                predictor.begin_sequence(batch)
+        for predictor, table in zip(self._phase_predictors, self._tables):
+            predictor.begin_sequence(batch)
+            table.begin_sequence(batch)
         return self.layer.start_state(batch)
 
     def step(self, x_t: Array, state):
@@ -123,16 +104,7 @@ class MemoizedRecurrentLayer:
         h: Array,
         preacts: Array,
     ) -> Array:
-        if self.vectorized:
-            profiler = _profiler.ACTIVE
-            if profiler is None:
-                return self._on_gates_vectorized(phase, x, h, preacts)
-            return self._on_gates_profiled(profiler, phase, x, h, preacts)
-        return self._on_gates_scalar(phase, x, h, preacts)
-
-    def _on_gates_vectorized(
-        self, phase: GatePhase, x: Array, h: Array, preacts: Array
-    ) -> Array:
+        profiler = _profiler.ACTIVE
         predictor = self._phase_predictors[phase.index]
         table = self._tables[phase.index]
         packed = operand = None
@@ -142,72 +114,28 @@ class MemoizedRecurrentLayer:
                 packed = pack_signs(operand)
                 if "operand" not in predictor.REQUIRES:
                     operand = None
+        if profiler is not None:
+            t0 = perf_counter()
         mask = predictor.predict_many(
             packed, preacts=preacts, operand=operand, memo=table.memo
         )
+        if profiler is not None:
+            t1 = perf_counter()
         outputs = table.substitute(mask, preacts)
-        hidden = self.hidden_size
-        for i, gate in enumerate(phase.gates):
-            self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
-        return outputs
-
-    def _on_gates_profiled(
-        self,
-        profiler: "_profiler.Profiler",
-        phase: GatePhase,
-        x: Array,
-        h: Array,
-        preacts: Array,
-    ) -> Array:
-        """:meth:`_on_gates_vectorized` with per-phase timing fences.
-
-        Mirrors the fast path call-for-call (same operations, same
-        order, same arrays) so outputs stay bitwise identical; the only
-        additions are ``perf_counter`` fences around the predictor and
-        the memo substitution, recorded into ``profiler``.
-        """
-        predictor = self._phase_predictors[phase.index]
-        table = self._tables[phase.index]
-        packed = operand = None
-        if predictor.REQUIRES:
-            operand = np.concatenate([x, h], axis=-1)
-            if "packed" in predictor.REQUIRES:
-                packed = pack_signs(operand)
-                if "operand" not in predictor.REQUIRES:
-                    operand = None
-        t0 = perf_counter()
-        mask = predictor.predict_many(
-            packed, preacts=preacts, operand=operand, memo=table.memo
-        )
-        t1 = perf_counter()
-        outputs = table.substitute(mask, preacts)
-        t2 = perf_counter()
-        hidden = self.hidden_size
-        for i, gate in enumerate(phase.gates):
-            self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
-        profiler.record_phase(
-            self.name,
-            phase.index,
-            phase.gates,
-            predict_s=t1 - t0,
-            substitute_s=t2 - t1,
-            reused=int(mask.sum()),
-            total=mask.size,
-        )
-        return outputs
-
-    def _on_gates_scalar(
-        self, phase: GatePhase, x: Array, h: Array, preacts: Array
-    ) -> Array:
-        hidden = self.hidden_size
-        for i, gate in enumerate(phase.gates):
-            block = preacts[:, i * hidden : (i + 1) * hidden]
-            decision = self._predictors[gate].step(
-                x, h, compute_full=lambda block=block: block
+        if profiler is not None:
+            profiler.record_phase(
+                self.name,
+                phase.index,
+                phase.gates,
+                predict_s=t1 - t0,
+                substitute_s=perf_counter() - t1,
+                reused=int(mask.sum()),
+                total=mask.size,
             )
-            self.stats.record(self.name, gate, decision.reuse_mask)
-            preacts[:, i * hidden : (i + 1) * hidden] = decision.outputs
-        return preacts
+        hidden = self.hidden_size
+        for i, gate in enumerate(phase.gates):
+            self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
+        return outputs
 
     # -- forward -------------------------------------------------------------
 
@@ -226,16 +154,8 @@ class MemoizedRecurrentLayer:
     __call__ = forward
 
 
-#: Backwards-compatible aliases: the wrapper is cell-agnostic now.
-MemoizedLSTMLayer = MemoizedRecurrentLayer
-MemoizedGRULayer = MemoizedRecurrentLayer
-
-#: Types the engine knows how to wrap, with their wrapper classes.
-WRAPPABLE = {
-    LSTMLayer: MemoizedRecurrentLayer,
-    GRULayer: MemoizedRecurrentLayer,
-    RNNLayer: MemoizedRecurrentLayer,
-}
+#: Layer types the engine knows how to wrap.
+WRAPPABLE = (LSTMLayer, GRULayer, RNNLayer)
 
 
 def wrap_layer(
@@ -243,14 +163,8 @@ def wrap_layer(
     predictor_factory: PredictorFactory,
     stats: ReuseStats,
     name: str,
-    vectorized: bool = True,
-    _wrappable=None,
-):
+) -> MemoizedRecurrentLayer:
     """Wrap a recurrent layer in its memoized counterpart."""
-    table = _wrappable or WRAPPABLE
-    for layer_type, wrapper in table.items():
-        if isinstance(layer, layer_type):
-            return wrapper(
-                layer, predictor_factory, stats, name=name, vectorized=vectorized
-            )
-    raise TypeError(f"cannot memoize layer of type {type(layer).__name__}")
+    if not isinstance(layer, WRAPPABLE):
+        raise TypeError(f"cannot memoize layer of type {type(layer).__name__}")
+    return MemoizedRecurrentLayer(layer, predictor_factory, stats, name=name)

@@ -1,11 +1,10 @@
-"""Contiguous, preallocated memo tables for the vectorized engine.
+"""Contiguous, preallocated memo tables for the memoization engine.
 
 The paper's memoization buffer holds, per gate neuron, the output of the
-last full evaluation.  The scalar reference path keeps that state inside
-each predictor; the vectorized engine instead owns one :class:`MemoTable`
-per gate *phase* — a single C-contiguous ``(B, G*H)`` float64 array
-covering every gate of the phase, allocated once per batch shape and
-updated in place.
+last full evaluation.  The engine owns one :class:`MemoTable` per gate
+*phase* — a single C-contiguous ``(B, G*H)`` float64 array covering
+every gate of the phase, allocated once per batch shape and updated in
+place.
 
 The update exploits an identity of the reuse rule: the substituted
 outputs ``where(reuse, memo, fresh)`` and the refreshed memo

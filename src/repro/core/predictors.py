@@ -15,58 +15,35 @@ Three predictors are implemented:
   introduction: reuse when the gate's *input* changed little.  It ignores
   the weights, which is exactly why the paper rejects it.
 
-The core contract is :meth:`GatePredictor.predict_many`: one vectorized
+The core contract is :meth:`GatePredictor.predict_many`: one batched
 call covering every neuron of a gate phase (and every sequence in the
 batch) that returns a boolean reuse mask.  The engine feeds it
 pre-packed uint64 sign words (for the BNN), the raw operand (for the
 input-similarity strawman) or the current/memoized pre-activations (for
 the oracle); predictors own only their *decision* state, while the memo
 tables live with the engine (:class:`repro.core.memo.MemoTable`).
-
-The single-row :meth:`GatePredictor.predict` and the legacy
-:meth:`GatePredictor.step` closure interface remain as thin wrappers
-around ``predict_many`` so existing call sites keep working; both are
-deprecated in favour of the batched call.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional
+from typing import FrozenSet, Optional
 
 import numpy as np
 
 from repro.core.bnn import BinaryGate
 
 Array = np.ndarray
-ComputeFull = Callable[[], Array]
 
 #: Relative-error floor: |denominator| values below this are treated as
 #: "output too small to compare", forcing a full evaluation.
 _DENOM_FLOOR = 1e-12
 
 
-@dataclass
-class StepDecision:
-    """Result of one predictor step for one gate.
-
-    Attributes:
-        outputs: the gate pre-activations to use, shape ``(B, H)`` —
-            memoized values where reused, fresh values elsewhere.
-        reuse_mask: boolean ``(B, H)``; True where the cached value was
-            reused (i.e. the full-precision evaluation was avoided).
-    """
-
-    outputs: Array
-    reuse_mask: Array
-
-
 class GatePredictor(ABC):
     """Reuse decision-maker for one gate (or one stacked gate phase).
 
-    Subclasses implement :meth:`predict_many` — the vectorized contract —
+    Subclasses implement :meth:`predict_many` — the batched contract —
     and declare in ``REQUIRES`` which inputs they consume so callers only
     materialise what is needed:
 
@@ -84,15 +61,8 @@ class GatePredictor(ABC):
 
     theta: float
 
-    _memo: Optional[Array] = None
-
     def begin_sequence(self, batch: int) -> None:
-        """Reset all memoization state for a new batch of sequences."""
-        self._memo = None
-        self._reset(batch)
-
-    def _reset(self, batch: int) -> None:
-        """Clear subclass decision state; default no-op."""
+        """Clear decision state for a new batch of sequences; default no-op."""
 
     @abstractmethod
     def predict_many(
@@ -103,7 +73,7 @@ class GatePredictor(ABC):
         operand: Optional[Array] = None,
         memo: Optional[Array] = None,
     ) -> Array:
-        """Vectorized reuse decision for one timestep.
+        """Batched reuse decision for one timestep.
 
         Args:
             packed_signs: ``(B, W)`` uint64 sign words of the operand —
@@ -120,73 +90,6 @@ class GatePredictor(ABC):
             Boolean reuse mask ``(B, N)``; all-False on the first call
             after :meth:`begin_sequence` (nothing is memoized yet).
         """
-
-    def predict(
-        self,
-        packed_signs: Optional[Array] = None,
-        *,
-        preacts: Optional[Array] = None,
-        operand: Optional[Array] = None,
-        memo: Optional[Array] = None,
-    ) -> Array:
-        """Single-row convenience wrapper around :meth:`predict_many`.
-
-        .. deprecated:: PR6
-            Kept for scalar call sites and tests; new code should batch
-            decisions through :meth:`predict_many`.
-        """
-        warnings.warn(
-            "GatePredictor.predict is deprecated since PR6; batch "
-            "decisions through predict_many instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-        def lift(a: Optional[Array]) -> Optional[Array]:
-            return None if a is None else np.asarray(a)[None, ...]
-
-        mask = self.predict_many(
-            lift(packed_signs),
-            preacts=lift(preacts),
-            operand=lift(operand),
-            memo=lift(memo),
-        )
-        return mask[0]
-
-    def step(self, x: Array, h: Array, compute_full: ComputeFull) -> StepDecision:
-        """Legacy closure interface: decide reuse for one gate timestep.
-
-        .. deprecated:: PR6
-            The scalar reference path.  It owns a private memo (the
-            vectorized engine keeps memo tables outside the predictor)
-            and is bitwise identical to the batched path.
-
-        Args:
-            x: the gate's forward operand ``(B, E)``.
-            h: the gate's recurrent operand ``(B, R)``.
-            compute_full: computes the true pre-activations ``(B, H)``.
-                The functional simulator may call it even for reused
-                neurons (cost accounting is logical, via ``reuse_mask``),
-                but a predictor must treat its result as unavailable when
-                deciding — only the oracle may peek.
-        """
-        warnings.warn(
-            "GatePredictor.step is deprecated since PR6; batch decisions "
-            "through predict_many instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        y_t = compute_full()
-        operand = None
-        if self.REQUIRES:
-            operand = np.concatenate([np.asarray(x), np.asarray(h)], axis=-1)
-        mask = self.predict_many(operand=operand, preacts=y_t, memo=self._memo)
-        if self._memo is None:
-            self._memo = y_t.copy()
-            return StepDecision(y_t, np.zeros(y_t.shape, dtype=bool))
-        outputs = np.where(mask, self._memo, y_t)
-        self._memo = outputs
-        return StepDecision(outputs, mask)
 
 
 class OracleGatePredictor(GatePredictor):
@@ -230,10 +133,11 @@ class BNNGatePredictor(GatePredictor):
       evaluation.  With ``throttle=False`` the accumulator is replaced by
       the instantaneous ``epsilon`` (the ablation of Figure 11).
 
-    The vectorized fast path feeds :meth:`predict_many` pre-packed uint64
-    sign words so the binary mirror is a XNOR/popcount over whole gate
-    phases; the legacy path reuses the mirror's matmul or packed kernel
-    per :class:`repro.core.bnn.BinaryGate` configuration.
+    The engine feeds :meth:`predict_many` pre-packed uint64 sign words,
+    so the binary mirror is a XNOR/popcount over whole gate phases.  Given
+    the raw ``operand`` instead, the mirror is the ±1 matmul
+    (:meth:`repro.core.bnn.BinaryGate.evaluate_operand`), the reference
+    the engine's equivalence tests compare the popcount kernel against.
     """
 
     REQUIRES = frozenset({"packed"})
@@ -253,7 +157,7 @@ class BNNGatePredictor(GatePredictor):
         self._delta: Optional[Array] = None
         self._scratch: Optional[Array] = None
 
-    def _reset(self, batch: int) -> None:
+    def begin_sequence(self, batch: int) -> None:
         self._y_b_m = None
         self._delta = None
         self._scratch = None
@@ -322,7 +226,7 @@ class InputSimilarityGatePredictor(GatePredictor):
         self.neurons = neurons
         self._u_m: Optional[Array] = None
 
-    def _reset(self, batch: int) -> None:
+    def begin_sequence(self, batch: int) -> None:
         self._u_m = None
 
     def predict_many(

@@ -1,22 +1,22 @@
 """Opt-in engine profiling: phase-level timing inside the memoized core.
 
 The engine hot path (:class:`~repro.core.layers.MemoizedRecurrentLayer`)
-checks one module attribute — :data:`ACTIVE` — per dispatch.  When it is
-``None`` (the default, always, unless a caller explicitly installs a
-profiler) the fast path runs untouched: no timestamps, no locks, no
-allocations.  ``benchmarks/bench_obs_overhead.py`` pins that claim with
-a floor-asserted <2% disabled-overhead budget against a hook-free
-baseline.
+reads one module attribute — :data:`ACTIVE` — per timestep and per gate
+phase.  When it is ``None`` (the default, always, unless a caller
+explicitly installs a profiler) every fence is skipped: no timestamps,
+no locks, no allocations.  ``benchmarks/bench_obs_overhead.py`` pins
+that claim with a floor-asserted <2% disabled-overhead budget against a
+fence-free baseline.
 
 When a :class:`Profiler` is installed (usually via the :func:`profiled`
-context manager), the wrapper runs a *mirror* of the vectorized phase
-body with ``perf_counter`` fences around the predictor evaluation and
-the memo-table substitution — same calls in the same order, so enabling
-profiling cannot change a single bit of the computation — and records,
-per (layer, phase): predictor seconds, substitution seconds, reuse
-counts, and per-step wall time (compute time is the step total minus
-the instrumented parts).  :class:`~repro.core.memo.MemoTable` reports
-buffer (re)allocations from its cold path.
+context manager), ``perf_counter`` fences inside the one phase body
+time the predictor evaluation and the memo-table substitution — the
+computation between the fences is the same code, so enabling profiling
+cannot change a single bit — and record, per (layer, phase): predictor
+seconds, substitution seconds, reuse counts, and per-step wall time
+(compute time is the step total minus the instrumented parts).
+:class:`~repro.core.memo.MemoTable` reports buffer (re)allocations from
+its cold path.
 
 Profiling is process-global by design: one ``repro serve`` process owns
 one model, and a scoped install/uninstall pair is how benchmarks and
@@ -31,8 +31,8 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 #: The live profiler, or ``None`` (the zero-cost default).  The engine
-#: reads this attribute once per dispatch; everything else in this
-#: module is off the hot path.
+#: reads this attribute once per timestep and gate phase; everything
+#: else in this module is off the hot path.
 ACTIVE: Optional["Profiler"] = None
 
 

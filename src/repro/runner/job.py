@@ -43,7 +43,10 @@ DEFAULT_THETAS: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 #: shards), results optionally carry metric-accumulator state, and the
 #: MNMT evaluation decodes a batch-independent number of steps (shard
 #: determinism) — all invalidating v1 entries.
-CACHE_VERSION = 2
+#:
+#: v3: payloads no longer carry the BNN-kernel switch: the binary mirror
+#: has one kernel, so the field named no distinct computation.
+CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,6 @@ class SweepJob:
         scale: zoo scale (``"tiny"`` or ``"bench"``).
         seed: benchmark construction/training seed.
         throttle: accumulate relative differences across reuses (Eq. 13).
-        use_packed: evaluate BNNs with the bit-packed XNOR path.
         calibration: evaluate on the calibration split (§3.2.1) instead
             of the test split.
         layer_thetas: optional per-layer threshold overrides as sorted
@@ -70,7 +72,6 @@ class SweepJob:
     scale: str = "tiny"
     seed: int = 0
     throttle: bool = True
-    use_packed: bool = False
     calibration: bool = False
     layer_thetas: Optional[Tuple[Tuple[str, float], ...]] = None
 
@@ -122,7 +123,6 @@ class SweepJob:
             scale=benchmark.scale,
             seed=benchmark.seed,
             throttle=scheme.throttle,
-            use_packed=scheme.use_packed,
             calibration=calibration,
             layer_thetas=layer_thetas,
         )
@@ -145,7 +145,6 @@ class SweepJob:
             scale=str(payload["scale"]),
             seed=int(payload["seed"]),
             throttle=bool(payload["throttle"]),
-            use_packed=bool(payload["use_packed"]),
             calibration=bool(payload["calibration"]),
             layer_thetas=(
                 tuple((str(name), float(theta)) for name, theta in layer_thetas)
@@ -167,7 +166,6 @@ class SweepJob:
             theta=float(theta),
             predictor=self.predictor,
             throttle=self.throttle,
-            use_packed=self.use_packed,
             layer_thetas=layer_thetas,
         )
 
@@ -183,7 +181,6 @@ class SweepJob:
             "seed": self.seed,
             "predictor": self.predictor,
             "throttle": self.throttle,
-            "use_packed": self.use_packed,
             "calibration": self.calibration,
             "layer_thetas": (
                 [list(pair) for pair in self.layer_thetas]
@@ -225,7 +222,6 @@ class EvalShardJob:
     scale: str = "tiny"
     seed: int = 0
     throttle: bool = True
-    use_packed: bool = False
     calibration: bool = False
     layer_thetas: Optional[Tuple[Tuple[str, float], ...]] = None
 
@@ -254,7 +250,6 @@ class EvalShardJob:
             scale=self.scale,
             seed=self.seed,
             throttle=self.throttle,
-            use_packed=self.use_packed,
             calibration=self.calibration,
             layer_thetas=self.layer_thetas,
         )
@@ -273,7 +268,6 @@ class EvalShardJob:
             scale=job.scale,
             seed=job.seed,
             throttle=job.throttle,
-            use_packed=job.use_packed,
             calibration=job.calibration,
             layer_thetas=job.layer_thetas,
         )
@@ -379,7 +373,6 @@ def scheme_from_payload(payload: Mapping[str, object]) -> MemoizationScheme:
         theta=float(payload["theta"]),
         predictor=str(payload["predictor"]),
         throttle=bool(payload["throttle"]),
-        use_packed=bool(payload["use_packed"]),
         layer_thetas=(
             {str(name): float(theta) for name, theta in layer_thetas}
             if layer_thetas is not None

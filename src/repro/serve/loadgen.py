@@ -166,7 +166,6 @@ def scheme_from_info(info: Dict[str, object]) -> MemoizationScheme:
         theta=float(info["theta"]),
         predictor=str(info["predictor"]),
         throttle=bool(info["throttle"]),
-        vectorized=bool(info.get("vectorized", True)),
         layer_thetas=info.get("layer_thetas") or None,
     )
 

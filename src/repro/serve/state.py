@@ -690,7 +690,6 @@ class ServeState:
                 "theta": scheme.theta,
                 "predictor": scheme.predictor,
                 "throttle": scheme.throttle,
-                "vectorized": scheme.vectorized,
                 "layer_thetas": (
                     dict(scheme.layer_thetas) if scheme.layer_thetas else None
                 ),
@@ -836,7 +835,6 @@ class ServeState:
                     scheme.with_theta(scheme.theta_for(dotted)).make_predictor,
                     self.stats,
                     name=dotted,
-                    vectorized=scheme.vectorized,
                 )
                 for layer, dotted in self._recurrent_layers
             ]

@@ -133,7 +133,7 @@ class TestPackedPath:
 class TestSignAgreement:
     """The popcount correlation signal == the float ±1 dot product.
 
-    The vectorized predictor thresholds on the packed popcount output;
+    The engine's predictor thresholds on the packed popcount output;
     these properties pin it to the mathematical definition: the dot
     product of the float-binarized sign vectors.
     """

@@ -51,13 +51,13 @@ class TestEvaluate:
         np.testing.assert_array_equal(gate.evaluate(x, h), expected)
 
     def test_packed_path_equivalent(self, rng):
-        w_x = rng.standard_normal((6, 4))
-        w_h = rng.standard_normal((6, 7))
-        plain = BinaryGate(w_x, w_h, use_packed=False)
-        packed = BinaryGate(w_x, w_h, use_packed=True)
+        """Single-word operand: the engine's popcount kernel equals the
+        ±1 matmul of :meth:`BinaryGate.evaluate`."""
+        gate = BinaryGate(rng.standard_normal((6, 4)), rng.standard_normal((6, 7)))
         x = rng.standard_normal((3, 4))
         h = rng.standard_normal((3, 7))
-        np.testing.assert_array_equal(plain.evaluate(x, h), packed.evaluate(x, h))
+        packed = gate.evaluate_packed(pack_signs(np.concatenate([x, h], axis=-1)))
+        np.testing.assert_array_equal(gate.evaluate(x, h), packed)
 
     def test_evaluate_packed_matches_reference_multi_word(self, rng):
         """A stacked 4 x 96 phase over a 1600-bit (25-word) operand: the

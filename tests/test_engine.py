@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import ReferenceHook
+from repro.core import engine as engine_module
 from repro.core.engine import (
     MemoizationScheme,
     apply_memoization,
@@ -10,19 +12,13 @@ from repro.core.engine import (
     restore,
     swap_scheme,
 )
-from repro.core.layers import MemoizedGRULayer, MemoizedLSTMLayer
+from repro.core.layers import MemoizedRecurrentLayer
 from repro.core.stats import ReuseStats
 from repro.nn.gru import GRULayer
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMLayer
 from repro.nn.module import Module
-from repro.nn.rnn import Bidirectional, RNNStack
-
-# The scalar engine path intentionally calls the deprecated
-# GatePredictor.step; its DeprecationWarning is expected here.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.step is deprecated:DeprecationWarning"
-)
+from repro.nn.rnn import Bidirectional, RNNLayer, RNNStack
 
 
 @pytest.fixture
@@ -34,6 +30,16 @@ def smooth_inputs(rng, batch=2, steps=15, dim=5):
     base = rng.standard_normal((batch, 1, dim))
     drift = np.cumsum(0.05 * rng.standard_normal((batch, steps, dim)), axis=1)
     return base + drift
+
+
+def engine_and_reference(monkeypatch, run):
+    """``run()`` on the engine, then again with every layer the engine
+    wraps wrapped in the per-gate :class:`helpers.ReferenceHook`."""
+    engine = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "wrap_layer", ReferenceHook)
+        reference = run()
+    return engine, reference
 
 
 class TestScheme:
@@ -96,10 +102,10 @@ class TestApplyRestore:
         stats = ReuseStats()
         replacements = apply_memoization(stack, MemoizationScheme(), stats)
         try:
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
-            assert isinstance(stack.layer2.fwd, MemoizedLSTMLayer)
-            assert isinstance(stack.layer2.bwd, MemoizedLSTMLayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer2.fwd, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer2.bwd, MemoizedRecurrentLayer)
             assert len(replacements) == 4
         finally:
             restore(replacements)
@@ -170,45 +176,27 @@ class TestContextManager:
             errors[predictor] = float(np.abs(out - reference).mean())
         assert errors["oracle"] <= errors["bnn"] + 1e-9
 
-    def test_packed_and_plain_bnn_identical(self, rng):
+    def test_packed_and_plain_bnn_identical(self, rng, monkeypatch):
+        """The engine's packed popcount BNN and the reference's plain ±1
+        matmul BNN give the same outputs."""
         x = smooth_inputs(rng)
-        outs = {}
-        for packed in (False, True):
+
+        def run():
             stack = RNNStack([LSTMLayer(5, 6, rng=np.random.default_rng(37))])
-            with memoized(
-                stack,
-                MemoizationScheme(theta=0.3, use_packed=packed),
-                ReuseStats(),
-            ):
-                outs[packed] = stack(x)
-        np.testing.assert_array_equal(outs[False], outs[True])
+            with memoized(stack, MemoizationScheme(theta=0.3), ReuseStats()):
+                return stack(x)
 
+        packed, plain = engine_and_reference(monkeypatch, run)
+        np.testing.assert_array_equal(plain, packed)
 
-class TestVectorizedFlag:
-    """`MemoizationScheme.vectorized` selects the engine path without
-    changing any result bit."""
-
-    def test_default_is_vectorized(self):
-        assert MemoizationScheme().vectorized is True
-
-    def test_flag_reaches_wrappers(self, rng):
-        stack = RNNStack([LSTMLayer(5, 6, rng=rng)])
-        stats = ReuseStats()
-        scheme = MemoizationScheme(vectorized=False)
-        replacements = apply_memoization(stack, scheme, stats)
-        try:
-            assert stack.layer0.vectorized is False
-        finally:
-            restore(replacements)
-
-    def test_mixed_stack_bitwise_equivalent(self, rng):
-        """Scalar and vectorized engines agree bitwise across a stack
-        mixing every wrappable layer type, outputs and reuse stats."""
-        from repro.nn.rnn import RNNLayer
-
+    def test_mixed_stack_bitwise_equivalent(self, rng, monkeypatch):
+        """The engine and the per-gate reference agree bitwise across a
+        stack mixing every wrappable layer type, on outputs and on the
+        reuse stats of every layer, both Bidirectional directions
+        included."""
         x = smooth_inputs(rng, batch=3, steps=20)
 
-        def run(vectorized):
+        def run():
             stack = RNNStack(
                 [
                     LSTMLayer(5, 6, rng=np.random.default_rng(37)),
@@ -218,36 +206,37 @@ class TestVectorizedFlag:
                 ]
             )
             stats = ReuseStats()
-            scheme = MemoizationScheme(theta=0.3, vectorized=vectorized)
-            with memoized(stack, scheme, stats):
+            with memoized(stack, MemoizationScheme(theta=0.3), stats):
                 out = stack(x)
             return out, stats
 
-        vec_out, vec_stats = run(True)
-        sca_out, sca_stats = run(False)
-        np.testing.assert_array_equal(vec_out, sca_out)
-        assert vec_stats.reused == sca_stats.reused
-        assert vec_stats.total == sca_stats.total
+        (vec_out, vec_stats), (ref_out, ref_stats) = engine_and_reference(monkeypatch, run)
+        np.testing.assert_array_equal(vec_out, ref_out)
+        assert {layer for layer, _ in vec_stats.total} == {
+            "layer0", "layer1", "layer2", "layer3.fwd", "layer3.bwd"
+        }
+        assert vec_stats.reused == ref_stats.reused
+        assert vec_stats.total == ref_stats.total
 
 
 class TestZooEquivalence:
-    """Vectorized vs scalar engine on every zoo network: quality and
-    reuse must agree exactly (end-to-end, trained tiny models)."""
+    """The engine (stacked phases, packed BNN kernel, memo tables) vs the
+    per-gate scalar reference on every zoo network: quality and reuse
+    must agree exactly (end-to-end, trained tiny models)."""
 
     @pytest.mark.parametrize("name", ["imdb", "deepspeech2", "eesen", "mnmt"])
-    def test_vectorized_matches_scalar(self, name):
-        from dataclasses import replace
-
+    def test_vectorized_matches_scalar(self, name, monkeypatch):
         from repro.models.zoo import load_benchmark
 
         benchmark = load_benchmark(name, scale="tiny")
         scheme = MemoizationScheme(theta=0.3)
-        vectorized = benchmark.evaluate_memoized(scheme)
-        scalar = benchmark.evaluate_memoized(replace(scheme, vectorized=False))
-        assert vectorized.quality == scalar.quality
-        assert vectorized.reuse_fraction == scalar.reuse_fraction
-        assert vectorized.stats.reused == scalar.stats.reused
-        assert vectorized.stats.total == scalar.stats.total
+        result, reference = engine_and_reference(
+            monkeypatch, lambda: benchmark.evaluate_memoized(scheme)
+        )
+        assert result.quality == reference.quality
+        assert result.reuse_fraction == reference.reuse_fraction
+        assert result.stats.reused == reference.stats.reused
+        assert result.stats.total == reference.stats.total
 
 
 class _SecondLayerNegative(dict):
@@ -309,8 +298,8 @@ class TestAtomicApply:
             stack, MemoizationScheme(), ReuseStats()
         )
         try:
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
         finally:
             restore(replacements)
 
@@ -327,7 +316,7 @@ class TestSwapScheme:
         replacements = apply_memoization(stack, old, stats)
         try:
             swap_scheme(stack, replacements, old, new, stats)
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
             # The wrapper now carries the new threshold.
             assert stack.layer0._phase_predictors[0].theta == 0.5
             stack(x)  # still serves
@@ -348,8 +337,8 @@ class TestSwapScheme:
             with pytest.raises(ValueError, match="non-negative"):
                 swap_scheme(stack, replacements, old, bad, stats)
             # Still wrapped, still under the old threshold, still serving.
-            assert isinstance(stack.layer0, MemoizedLSTMLayer)
-            assert isinstance(stack.layer1, MemoizedGRULayer)
+            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
+            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
             assert stack.layer0._phase_predictors[0].theta == 0.05
             stack(x)
         finally:

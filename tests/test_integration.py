@@ -12,6 +12,8 @@ from repro.accel.epur import compare
 from repro.accel.eventsim import collect_layer_dims, replay_trace
 from repro.accel.trace import ReuseTrace
 from repro.analysis.sweep import end_to_end
+from helpers import ReferenceHook
+from repro.core import engine as engine_module
 from repro.core.engine import MemoizationScheme, memoized
 from repro.core.stats import DetailedReuseStats, ReuseStats
 from repro.models.zoo import load_benchmark
@@ -107,12 +109,12 @@ class TestSchemeMatrixOnRealModel:
         assert 0.0 <= result.reuse_fraction <= 1.0
         assert result.quality >= 0.0
 
-    def test_packed_matches_plain_on_real_model(self, imdb):
-        plain = imdb.evaluate_memoized(
-            MemoizationScheme(theta=0.2, use_packed=False)
-        )
-        packed = imdb.evaluate_memoized(
-            MemoizationScheme(theta=0.2, use_packed=True)
-        )
+    def test_packed_matches_plain_on_real_model(self, imdb, monkeypatch):
+        """The engine's packed BNN kernel and the per-gate reference's
+        plain ±1 matmul agree on a trained model."""
+        scheme = MemoizationScheme(theta=0.2)
+        packed = imdb.evaluate_memoized(scheme)
+        monkeypatch.setattr(engine_module, "wrap_layer", ReferenceHook)
+        plain = imdb.evaluate_memoized(scheme)
         assert plain.reuse_fraction == packed.reuse_fraction
         assert plain.quality == packed.quality

@@ -3,23 +3,13 @@
 import numpy as np
 import pytest
 
+from helpers import ReferenceHook
 from repro.core.engine import MemoizationScheme
-from repro.core.layers import (
-    MemoizedGRULayer,
-    MemoizedLSTMLayer,
-    MemoizedRecurrentLayer,
-    wrap_layer,
-)
+from repro.core.layers import MemoizedRecurrentLayer, wrap_layer
 from repro.core.stats import ReuseStats
 from repro.nn.gru import GRULayer
 from repro.nn.lstm import LSTMLayer
 from repro.nn.rnn import RNNLayer
-
-# The scalar wrapper path (vectorized=False) routes through the
-# deprecated GatePredictor.step by design; ignore its warning here.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.step is deprecated:DeprecationWarning"
-)
 
 
 @pytest.fixture
@@ -46,7 +36,7 @@ class TestMemoizedLSTM:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("oracle", theta=0.0).make_predictor, stats
         )
         np.testing.assert_array_equal(wrapped(x), reference)
@@ -56,7 +46,7 @@ class TestMemoizedLSTM:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("bnn", theta=0.3).make_predictor, stats
         )
         out = wrapped(x)
@@ -67,7 +57,7 @@ class TestMemoizedLSTM:
     def test_records_all_four_gates(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme().make_predictor, stats, name="L"
         )
         wrapped(smooth_inputs(rng))
@@ -77,7 +67,7 @@ class TestMemoizedLSTM:
     def test_evaluation_counts(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         batch, steps = 2, 20
         wrapped(smooth_inputs(rng, batch=batch, steps=steps))
         assert stats.total_evaluations == batch * steps * 8 * 4
@@ -85,14 +75,14 @@ class TestMemoizedLSTM:
     def test_state_resets_between_forwards(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         x = smooth_inputs(rng)
         first = wrapped(x)
         second = wrapped(x)
         np.testing.assert_array_equal(first, second)
 
     def test_rejects_non_3d(self, rng):
-        wrapped = MemoizedLSTMLayer(
+        wrapped = MemoizedRecurrentLayer(
             LSTMLayer(6, 8, rng=rng), make_scheme().make_predictor, ReuseStats()
         )
         with pytest.raises(ValueError):
@@ -101,7 +91,7 @@ class TestMemoizedLSTM:
     def test_step_interface_matches_forward(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedLSTMLayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         x = smooth_inputs(rng, batch=1, steps=10)
         full = wrapped(x)
         state = wrapped.start_state(1)
@@ -118,7 +108,7 @@ class TestMemoizedGRU:
         x = smooth_inputs(rng)
         reference = layer(x)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("oracle", theta=0.0).make_predictor, stats
         )
         np.testing.assert_array_equal(wrapped(x), reference)
@@ -126,7 +116,7 @@ class TestMemoizedGRU:
     def test_records_all_three_gates(self, rng):
         layer = GRULayer(6, 8, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(layer, make_scheme().make_predictor, stats)
+        wrapped = MemoizedRecurrentLayer(layer, make_scheme().make_predictor, stats)
         wrapped(smooth_inputs(rng))
         assert {gate for (_, gate) in stats.total} == {"z", "r", "g"}
 
@@ -136,7 +126,7 @@ class TestMemoizedGRU:
         matters, a flipped reset gate changes the decision stream."""
         layer = GRULayer(4, 6, rng=rng)
         stats = ReuseStats()
-        wrapped = MemoizedGRULayer(
+        wrapped = MemoizedRecurrentLayer(
             layer, make_scheme("bnn", theta=0.2).make_predictor, stats
         )
         x = smooth_inputs(rng, dim=4)
@@ -150,7 +140,7 @@ class TestMemoizedGRU:
         for theta in (0.0, 0.5, 2.0):
             layer = GRULayer(6, 8, rng=np.random.default_rng(31))
             stats = ReuseStats()
-            MemoizedGRULayer(layer, make_scheme(theta=theta).make_predictor, stats)(x)
+            MemoizedRecurrentLayer(layer, make_scheme(theta=theta).make_predictor, stats)(x)
             fractions.append(stats.reuse_fraction())
         assert fractions[0] <= fractions[1] <= fractions[2]
 
@@ -185,25 +175,21 @@ class TestMemoizedRNN:
         assert stats.reuse_fraction() > 0.05
 
 
-def _run_wrapped(layer_type, rng_seed, vectorized, predictor, x, hidden=8):
+def _run_wrapped(layer_type, rng_seed, wrapper, predictor, x, hidden=8):
     layer = layer_type(x.shape[-1], hidden, rng=np.random.default_rng(rng_seed))
     stats = ReuseStats()
-    wrapped = MemoizedRecurrentLayer(
-        layer,
-        make_scheme(predictor, theta=0.3).make_predictor,
-        stats,
-        vectorized=vectorized,
-    )
+    wrapped = wrapper(layer, make_scheme(predictor, theta=0.3).make_predictor, stats)
     return wrapped(x), stats
 
 
 class TestVectorizedScalarEquivalence:
-    """The batched fast path must be bitwise identical to the per-gate
-    scalar reference path, for every cell type and predictor."""
+    """The engine's stacked-phase path must be bitwise identical to the
+    per-gate scalar reference (:class:`helpers.ReferenceHook`), outputs
+    and reuse decisions, for every cell type and predictor."""
 
     # (input, hidden): a 14-bit BNN operand in one 64-bit word, then
     # 160-bit (3-word) and 194-bit (4-word) operands, so the popcount
-    # kernel's per-word accumulation meets the scalar path's ±1 matmul.
+    # kernel's per-word accumulation meets the reference's ±1 matmul.
     @pytest.mark.parametrize(
         "sizes", [(6, 8), (70, 90), (130, 64)], ids=["6x8", "70x90", "130x64"]
     )
@@ -212,52 +198,41 @@ class TestVectorizedScalarEquivalence:
     def test_outputs_and_stats_identical(self, rng, layer_type, predictor, sizes):
         inputs, hidden = sizes
         x = smooth_inputs(rng, batch=3, steps=25, dim=inputs)
-        vec_out, vec_stats = _run_wrapped(layer_type, 31, True, predictor, x, hidden)
-        sca_out, sca_stats = _run_wrapped(layer_type, 31, False, predictor, x, hidden)
-        np.testing.assert_array_equal(vec_out, sca_out)
-        assert vec_stats.reused == sca_stats.reused
-        assert vec_stats.total == sca_stats.total
+        vec_out, vec_stats = _run_wrapped(
+            layer_type, 31, MemoizedRecurrentLayer, predictor, x, hidden
+        )
+        ref_out, ref_stats = _run_wrapped(layer_type, 31, ReferenceHook, predictor, x, hidden)
+        np.testing.assert_array_equal(vec_out, ref_out)
+        assert vec_stats.reused == ref_stats.reused
+        assert vec_stats.total == ref_stats.total
 
     def test_throttle_ablation_also_equivalent(self, rng):
         x = smooth_inputs(rng)
 
-        def run(vectorized):
+        def run(wrapper):
             layer = LSTMLayer(6, 8, rng=np.random.default_rng(31))
             stats = ReuseStats()
             scheme = MemoizationScheme(theta=0.3, throttle=False)
-            wrapped = MemoizedRecurrentLayer(
-                layer, scheme.make_predictor, stats, vectorized=vectorized
-            )
-            return wrapped(x)
+            return wrapper(layer, scheme.make_predictor, stats)(x), stats
 
-        np.testing.assert_array_equal(run(True), run(False))
+        vec_out, vec_stats = run(MemoizedRecurrentLayer)
+        ref_out, ref_stats = run(ReferenceHook)
+        np.testing.assert_array_equal(vec_out, ref_out)
+        assert vec_stats.reused == ref_stats.reused
 
 
 class TestWrapLayer:
     def test_dispatch(self, rng):
         stats = ReuseStats()
         factory = make_scheme().make_predictor
-        assert isinstance(
-            wrap_layer(LSTMLayer(4, 4, rng=rng), factory, stats, "a"),
-            MemoizedLSTMLayer,
-        )
-        assert isinstance(
-            wrap_layer(GRULayer(4, 4, rng=rng), factory, stats, "b"),
-            MemoizedGRULayer,
-        )
-        assert isinstance(
-            wrap_layer(RNNLayer(4, 4, rng=rng), factory, stats, "c"),
-            MemoizedRecurrentLayer,
-        )
-
-    def test_vectorized_flag_propagates(self, rng):
-        factory = make_scheme().make_predictor
-        wrapped = wrap_layer(
-            LSTMLayer(4, 4, rng=rng), factory, ReuseStats(), "a", vectorized=False
-        )
-        assert wrapped.vectorized is False
-        default = wrap_layer(GRULayer(4, 4, rng=rng), factory, ReuseStats(), "b")
-        assert default.vectorized is True
+        for name, layer in (
+            ("a", LSTMLayer(4, 4, rng=rng)),
+            ("b", GRULayer(4, 4, rng=rng)),
+            ("c", RNNLayer(4, 4, rng=rng)),
+        ):
+            wrapped = wrap_layer(layer, factory, stats, name)
+            assert isinstance(wrapped, MemoizedRecurrentLayer)
+            assert wrapped.layer is layer
 
     def test_unknown_type_raises(self):
         with pytest.raises(TypeError):

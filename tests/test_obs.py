@@ -259,7 +259,7 @@ class TestProfiler:
         rng = np.random.default_rng(3)
         stack = RNNStack([LSTMLayer(6, 12, rng=rng)])
         stats = ReuseStats()
-        scheme = MemoizationScheme(theta=0.4, predictor="bnn", vectorized=True)
+        scheme = MemoizationScheme(theta=0.4, predictor="bnn")
         replacements = apply_memoization(stack, scheme, stats)
         inputs = np.random.default_rng(5).standard_normal((4, 10, 6))
         return stack, stats, replacements, inputs

@@ -5,16 +5,11 @@ import pytest
 
 from repro.core.binarization import pack_signs
 from repro.core.bnn import BinaryGate
+from repro.core.memo import MemoTable
 from repro.core.predictors import (
     BNNGatePredictor,
     InputSimilarityGatePredictor,
     OracleGatePredictor,
-)
-
-# These suites exercise the deprecated scalar interfaces (.step /
-# .predict) on purpose — they pin the legacy reference semantics.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:GatePredictor.(step|predict) is deprecated:DeprecationWarning"
 )
 
 
@@ -24,6 +19,32 @@ def make_gate(rng, neurons=6, e=4, r=5):
     )
 
 
+class Stepper:
+    """Drives one predictor the way the engine does: one ``predict_many``
+    per timestep on the packed (BNN) or raw operand, with the memo held
+    in a :class:`MemoTable`.  A call returns ``(outputs, reuse_mask)``."""
+
+    def __init__(self, predictor, neurons, batch=1):
+        self.predictor = predictor
+        self.table = MemoTable(neurons)
+        self.begin(batch)
+
+    def begin(self, batch):
+        self.predictor.begin_sequence(batch)
+        self.table.begin_sequence(batch)
+
+    def __call__(self, preacts, x=None, h=None):
+        packed = operand = None
+        if x is not None:
+            operand = np.concatenate([x, h], axis=-1)
+            if "packed" in self.predictor.REQUIRES:
+                packed, operand = pack_signs(operand), None
+        mask = self.predictor.predict_many(
+            packed, preacts=preacts, operand=operand, memo=self.table.memo
+        )
+        return self.table.substitute(mask, preacts).copy(), mask
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(29)
@@ -31,82 +52,72 @@ def rng():
 
 class TestOracle:
     def test_first_step_never_reuses(self, rng):
-        pred = OracleGatePredictor(theta=10.0)
-        pred.begin_sequence(2)
-        decision = pred.step(None, None, lambda: rng.standard_normal((2, 6)))
-        assert not decision.reuse_mask.any()
+        step = Stepper(OracleGatePredictor(theta=10.0), neurons=6, batch=2)
+        _, mask = step(rng.standard_normal((2, 6)))
+        assert not mask.any()
 
     def test_reuses_when_identical(self, rng):
-        pred = OracleGatePredictor(theta=0.0)
-        pred.begin_sequence(1)
+        step = Stepper(OracleGatePredictor(theta=0.0), neurons=6)
         y = rng.standard_normal((1, 6))
-        pred.step(None, None, lambda: y.copy())
-        decision = pred.step(None, None, lambda: y.copy())
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        step(y.copy())
+        outputs, mask = step(y.copy())
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_theta_zero_outputs_exact(self, rng):
         """With theta=0 the oracle only reuses exactly-equal values, so
         the output stream is bit-identical to no memoization."""
-        pred = OracleGatePredictor(theta=0.0)
-        pred.begin_sequence(1)
+        step = Stepper(OracleGatePredictor(theta=0.0), neurons=6)
         for _ in range(10):
             y = rng.standard_normal((1, 6))
-            decision = pred.step(None, None, lambda y=y: y.copy())
-            np.testing.assert_array_equal(decision.outputs, y)
+            outputs, _ = step(y.copy())
+            np.testing.assert_array_equal(outputs, y)
 
     def test_thresholding_on_relative_error(self):
-        pred = OracleGatePredictor(theta=0.5)
-        pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.array([[1.0, 1.0]]))
-        decision = pred.step(None, None, lambda: np.array([[1.2, 3.0]]))
+        step = Stepper(OracleGatePredictor(theta=0.5), neurons=2)
+        step(np.array([[1.0, 1.0]]))
+        outputs, mask = step(np.array([[1.2, 3.0]]))
         # neuron 0: |1.2-1|/1.2 = 0.167 <= 0.5 -> reuse memoized 1.0
         # neuron 1: |3-1|/3 = 0.667 > 0.5 -> fresh 3.0
-        np.testing.assert_array_equal(decision.reuse_mask, [[True, False]])
-        np.testing.assert_allclose(decision.outputs, [[1.0, 3.0]])
+        np.testing.assert_array_equal(mask, [[True, False]])
+        np.testing.assert_allclose(outputs, [[1.0, 3.0]])
 
     def test_memo_updates_only_on_full_eval(self):
-        pred = OracleGatePredictor(theta=0.5)
-        pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.array([[1.0]]))
-        pred.step(None, None, lambda: np.array([[1.2]]))  # reused, memo stays 1.0
-        decision = pred.step(None, None, lambda: np.array([[1.3]]))
+        step = Stepper(OracleGatePredictor(theta=0.5), neurons=1)
+        step(np.array([[1.0]]))
+        step(np.array([[1.2]]))  # reused, memo stays 1.0
+        outputs, _ = step(np.array([[1.3]]))
         # delta vs memo 1.0: |1.3-1.0|/1.3 = 0.23 <= 0.5 -> still reuses 1.0
-        np.testing.assert_allclose(decision.outputs, [[1.0]])
+        np.testing.assert_allclose(outputs, [[1.0]])
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             OracleGatePredictor(theta=-0.1)
 
     def test_begin_sequence_resets(self, rng):
-        pred = OracleGatePredictor(theta=100.0)
-        pred.begin_sequence(1)
-        pred.step(None, None, lambda: np.ones((1, 3)))
-        pred.begin_sequence(1)
-        decision = pred.step(None, None, lambda: np.ones((1, 3)))
-        assert not decision.reuse_mask.any()
+        step = Stepper(OracleGatePredictor(theta=100.0), neurons=3)
+        step(np.ones((1, 3)))
+        step.begin(1)
+        _, mask = step(np.ones((1, 3)))
+        assert not mask.any()
 
 
 class TestBNNPredictor:
     def test_first_step_never_reuses(self, rng):
-        gate = make_gate(rng)
-        pred = BNNGatePredictor(gate, theta=10.0)
-        pred.begin_sequence(1)
+        step = Stepper(BNNGatePredictor(make_gate(rng), theta=10.0), neurons=6)
         x, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 5))
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 6)))
-        assert not decision.reuse_mask.any()
+        _, mask = step(rng.standard_normal((1, 6)), x, h)
+        assert not mask.any()
 
     def test_identical_inputs_reuse_everything(self, rng):
-        gate = make_gate(rng)
-        pred = BNNGatePredictor(gate, theta=0.0)
-        pred.begin_sequence(1)
+        step = Stepper(BNNGatePredictor(make_gate(rng), theta=0.0), neurons=6)
         x, h = rng.standard_normal((1, 4)), rng.standard_normal((1, 5))
         y = rng.standard_normal((1, 6))
-        pred.step(x, h, lambda: y.copy())
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 6)))
+        step(y.copy(), x, h)
+        outputs, mask = step(rng.standard_normal((1, 6)), x, h)
         # Binary outputs identical -> epsilon 0 -> reuse the memoized y.
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_reuse_monotone_in_theta(self, rng):
         """Higher theta can only increase total reuse (same input stream)."""
@@ -118,11 +129,10 @@ class TestBNNPredictor:
         counts = []
         for theta in (0.0, 0.3, 1.0):
             gate = make_gate(np.random.default_rng(29))
-            pred = BNNGatePredictor(gate, theta=theta)
-            pred.begin_sequence(1)
+            step = Stepper(BNNGatePredictor(gate, theta=theta), neurons=6)
             reused = 0
             for (x, h), y in zip(inputs, outputs):
-                reused += int(pred.step(x, h, lambda y=y: y.copy()).reuse_mask.sum())
+                reused += int(step(y.copy(), x, h)[1].sum())
             counts.append(reused)
         assert counts[0] <= counts[1] <= counts[2]
 
@@ -137,16 +147,13 @@ class TestBNNPredictor:
 
         def run(throttle):
             gate = BinaryGate(np.ones((1, 8)), np.ones((1, 8)))
-            pred = BNNGatePredictor(gate, theta=0.3, throttle=throttle)
-            pred.begin_sequence(1)
-            pred.step(base[:8][None], base[8:][None], lambda: np.zeros((1, 1)))
+            step = Stepper(BNNGatePredictor(gate, theta=0.3, throttle=throttle), neurons=1)
+            step(np.zeros((1, 1)), base[:8][None], base[8:][None])
             flags = []
-            for step in range(6):
-                operand = drifted if step % 2 == 0 else base
-                decision = pred.step(
-                    operand[:8][None], operand[8:][None], lambda: np.zeros((1, 1))
-                )
-                flags.append(bool(decision.reuse_mask[0, 0]))
+            for i in range(6):
+                operand = drifted if i % 2 == 0 else base
+                _, mask = step(np.zeros((1, 1)), operand[:8][None], operand[8:][None])
+                flags.append(bool(mask[0, 0]))
             return flags
 
         unthrottled = run(False)
@@ -160,61 +167,56 @@ class TestBNNPredictor:
         """A change to a zero binary output cannot be compared relatively
         and must not be reused blindly."""
         gate = BinaryGate(np.ones((1, 1)), np.ones((1, 1)))
-        pred = BNNGatePredictor(gate, theta=0.4)
-        pred.begin_sequence(1)
+        step = Stepper(BNNGatePredictor(gate, theta=0.4), neurons=1)
         # First step: operands (+1, +1) -> yb = 2.
-        pred.step(np.ones((1, 1)), np.ones((1, 1)), lambda: np.array([[5.0]]))
+        step(np.array([[5.0]]), np.ones((1, 1)), np.ones((1, 1)))
         # Second: operands (+1, -1) -> yb = 0; diff=2, denom floor 1 -> eps 2.
-        decision = pred.step(
-            np.ones((1, 1)), -np.ones((1, 1)), lambda: np.array([[7.0]])
-        )
-        assert not decision.reuse_mask.any()
+        _, mask = step(np.array([[7.0]]), np.ones((1, 1)), -np.ones((1, 1)))
+        assert not mask.any()
 
     def test_delta_resets_after_full_eval(self, rng):
         gate = make_gate(rng, neurons=1, e=2, r=2)
-        pred = BNNGatePredictor(gate, theta=0.05)
-        pred.begin_sequence(1)
+        step = Stepper(BNNGatePredictor(gate, theta=0.05), neurons=1)
         x0, h0 = np.ones((1, 2)), np.ones((1, 2))
-        pred.step(x0, h0, lambda: np.array([[1.0]]))
+        step(np.array([[1.0]]), x0, h0)
         # Big operand change forces a full evaluation...
-        pred.step(-x0, -h0, lambda: np.array([[2.0]]))
-        assert np.all(pred._delta == 0.0)
+        step(np.array([[2.0]]), -x0, -h0)
+        assert np.all(step.predictor._delta == 0.0)
         # ...and identical operands afterwards reuse again.
-        decision = pred.step(-x0, -h0, lambda: np.array([[3.0]]))
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, [[2.0]])
+        outputs, mask = step(np.array([[3.0]]), -x0, -h0)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, [[2.0]])
 
 
 class TestInputSimilarity:
     def test_identical_input_reuses_whole_gate(self, rng):
-        pred = InputSimilarityGatePredictor(theta=0.0, neurons=4)
-        pred.begin_sequence(1)
+        step = Stepper(InputSimilarityGatePredictor(theta=0.0, neurons=4), neurons=4)
         x, h = rng.standard_normal((1, 3)), rng.standard_normal((1, 2))
         y = rng.standard_normal((1, 4))
-        pred.step(x, h, lambda: y.copy())
-        decision = pred.step(x, h, lambda: rng.standard_normal((1, 4)))
-        assert decision.reuse_mask.all()
-        np.testing.assert_array_equal(decision.outputs, y)
+        step(y.copy(), x, h)
+        outputs, mask = step(rng.standard_normal((1, 4)), x, h)
+        assert mask.all()
+        np.testing.assert_array_equal(outputs, y)
 
     def test_changed_input_blocks_reuse(self, rng):
-        pred = InputSimilarityGatePredictor(theta=0.01, neurons=4)
-        pred.begin_sequence(1)
+        step = Stepper(InputSimilarityGatePredictor(theta=0.01, neurons=4), neurons=4)
         x, h = np.ones((1, 3)), np.ones((1, 2))
-        pred.step(x, h, lambda: np.ones((1, 4)))
-        decision = pred.step(-x, -h, lambda: np.zeros((1, 4)))
-        assert not decision.reuse_mask.any()
+        step(np.ones((1, 4)), x, h)
+        _, mask = step(np.zeros((1, 4)), -x, -h)
+        assert not mask.any()
 
     def test_decision_is_per_row(self, rng):
-        pred = InputSimilarityGatePredictor(theta=0.01, neurons=3)
-        pred.begin_sequence(2)
+        step = Stepper(
+            InputSimilarityGatePredictor(theta=0.01, neurons=3), neurons=3, batch=2
+        )
         x = np.ones((2, 2))
         h = np.ones((2, 2))
-        pred.step(x, h, lambda: np.ones((2, 3)))
+        step(np.ones((2, 3)), x, h)
         x2 = x.copy()
         x2[1] = -5.0  # only row 1 changes
-        decision = pred.step(x2, h, lambda: np.zeros((2, 3)))
-        assert decision.reuse_mask[0].all()
-        assert not decision.reuse_mask[1].any()
+        _, mask = step(np.zeros((2, 3)), x2, h)
+        assert mask[0].all()
+        assert not mask[1].any()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -224,7 +226,7 @@ class TestInputSimilarity:
 
 
 class TestPredictMany:
-    """The vectorized contract shared by every predictor."""
+    """The batched contract shared by every predictor."""
 
     def test_first_call_is_all_false(self, rng):
         gate = make_gate(rng)
@@ -284,26 +286,6 @@ class TestPredictMany:
         # No memo -> nothing to reuse.
         assert not pred.predict_many(preacts=np.array([[1.2, 3.0]])).any()
 
-    def test_predict_wrapper_matches_predict_many_row(self, rng):
-        """The deprecated single-row predict() is predict_many on a
-        singleton batch."""
-        operands = [rng.standard_normal(9) for _ in range(8)]
-
-        def run(single):
-            gate = make_gate(np.random.default_rng(29))
-            pred = BNNGatePredictor(gate, theta=0.3)
-            pred.begin_sequence(1)
-            masks = []
-            for operand in operands:
-                if single:
-                    masks.append(pred.predict(operand=operand))
-                else:
-                    masks.append(pred.predict_many(operand=operand[None, :])[0])
-            return masks
-
-        for a, b in zip(run(True), run(False)):
-            np.testing.assert_array_equal(a, b)
-
     def test_throttle_state_carries_across_calls(self):
         """Accumulated delta (Eq. 13) must survive between predict_many
         calls and reset on begin_sequence."""
@@ -325,37 +307,8 @@ class TestPredictMany:
 
 
 class TestDeprecationWarnings:
-    """The documented deprecations must actually warn (they were silent
-    until PR 7), so downstream callers migrating to predict_many get the
-    signal the docstrings promise."""
-
-    def test_step_warns(self, rng):
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with pytest.warns(DeprecationWarning, match="step is deprecated"):
-            pred.step(None, None, lambda: rng.standard_normal((1, 6)))
-
-    def test_predict_warns(self, rng):
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with pytest.warns(DeprecationWarning, match="predict is deprecated"):
-            pred.predict(preacts=rng.standard_normal(6))
-
-    def test_warning_points_at_the_caller(self, rng):
-        """stacklevel=2: the warning is attributed to this file, not to
-        predictors.py — otherwise every caller sees a useless location."""
-        import warnings
-
-        pred = OracleGatePredictor(theta=1.0)
-        pred.begin_sequence(1)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pred.step(None, None, lambda: rng.standard_normal((1, 6)))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
+    """No deprecated shim is left on the predictor API: the batched call
+    it kept is warning-free."""
 
     def test_predict_many_does_not_warn(self, rng):
         import warnings

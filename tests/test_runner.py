@@ -103,7 +103,6 @@ class TestSweepJob:
             {"scale": "bench"},
             {"seed": 1},
             {"throttle": False},
-            {"use_packed": True},
             {"calibration": True},
             {"layer_thetas": (("lstm", 0.1),)},
         ],

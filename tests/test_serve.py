@@ -314,7 +314,7 @@ class TestThetaEndpoint:
                 {"predictor": "magic"},  # unknown kind
                 {"layer_thetas": {"nope": 0.1}},  # unknown layer
                 {"layer_thetas": {"lstm": -1.0}},  # negative override
-                {"use_packed": True},  # not retunable
+                {"use_packed": True},  # unknown field
             ):
                 with pytest.raises(ServeError) as excinfo:
                     client.put("/api/v1/theta", bad)
