@@ -111,16 +111,6 @@ def _add_transport_arguments(sub: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="file holding the coordinator's shared auth token",
     )
-    sub.add_argument(
-        "--gzip",
-        choices=("auto", "always", "off"),
-        default="auto",
-        help=(
-            "compress request bodies to the coordinator: auto "
-            "(default; large bodies, once the coordinator advertises "
-            "support), always, or off"
-        ),
-    )
 
 
 def _read_token(args) -> Optional[str]:
@@ -219,7 +209,6 @@ def _build_runner(args) -> ParallelRunner:
         reuse_results=not args.no_cache,
         coordinator=args.coordinator,
         token=_read_token(args),
-        gzip_mode=args.gzip,
     )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     return ParallelRunner(cache=cache, backend=backend)
@@ -644,9 +633,7 @@ def _cmd_worker(args) -> Tuple[str, int]:
     if args.max_tasks is not None and args.max_tasks < 1:
         raise SystemExit("--max-tasks must be >= 1")
     if args.coordinator:
-        queue = RemoteWorkQueue(
-            args.coordinator, token=_read_token(args), gzip_mode=args.gzip
-        )
+        queue = RemoteWorkQueue(args.coordinator, token=_read_token(args))
     else:
         queue = WorkQueue(args.queue_dir, lease_ttl=args.lease_ttl)
     owner = default_owner()

@@ -44,14 +44,13 @@ def make_backend(
     reuse_results: bool = True,
     coordinator: Optional[str] = None,
     token: Optional[str] = None,
-    gzip_mode: str = "auto",
 ) -> ExecutionBackend:
     """Build a backend from CLI/environment-style knobs.
 
     ``jobs`` only parameterises the process backend; ``queue_dir`` /
-    ``lease_ttl`` only the queue backend; ``coordinator`` / ``token`` /
-    ``gzip_mode`` only the http backend; ``drain`` / ``timeout`` /
-    ``reuse_results`` the queue and http backends.
+    ``lease_ttl`` only the queue backend; ``coordinator`` / ``token``
+    only the http backend; ``drain`` / ``timeout`` / ``reuse_results``
+    the queue and http backends.
     """
     if name == "serial":
         return SerialBackend()
@@ -77,7 +76,6 @@ def make_backend(
             drain=drain,
             timeout=timeout,
             reuse_results=reuse_results,
-            gzip_mode=gzip_mode,
         )
     raise ValueError(
         f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"

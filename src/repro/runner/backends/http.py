@@ -29,8 +29,6 @@ class HttpBackend(QueueBackend):
             :class:`QueueBackend`.
         poll_interval: idle sleep between polls — defaults higher than
             the file queue's (a poll is a network round-trip here).
-        gzip_mode: request-body compression policy handed to
-            :class:`RemoteWorkQueue` (``auto`` / ``always`` / ``off``).
     """
 
     name = "http"
@@ -44,12 +42,9 @@ class HttpBackend(QueueBackend):
         poll_interval: float = 0.2,
         worker: str = "submitter",
         reuse_results: bool = True,
-        gzip_mode: str = "auto",
     ):
         if not isinstance(coordinator, RemoteWorkQueue):
-            coordinator = RemoteWorkQueue(
-                coordinator, token=token, gzip_mode=gzip_mode
-            )
+            coordinator = RemoteWorkQueue(coordinator, token=token)
         super().__init__(
             coordinator,
             drain=drain,

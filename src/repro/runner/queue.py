@@ -10,6 +10,9 @@ worker loop (:func:`drain`), the heartbeat machinery and the
 :class:`~repro.runner.backends.queue.QueueBackend` submitter are all
 written against the contract, so lease expiry, poison-task quarantine
 and crash recovery behave identically over a mount and over a socket.
+The contract submits and polls in batches (:meth:`TaskQueue.submit_many`,
+:meth:`TaskQueue.poll_many`): the file queue loops over its tasks, the
+HTTP client makes one ``batch/*`` round trip.
 
 Any number of workers on any number of hosts that share one filesystem
 (NFS, a bind mount, plain local disk) drain a single queue directory:
@@ -97,7 +100,8 @@ class TaskQueue(abc.ABC):
     :class:`~repro.runner.transport.client.RemoteWorkQueue` satisfy this
     interface, which is what lets :func:`drain`, the heartbeat thread
     and :class:`~repro.runner.backends.queue.QueueBackend` run unchanged
-    over either transport.  Implementations must guarantee:
+    over either transport.  It holds exactly what those three call.
+    Implementations must guarantee:
 
     - **atomic claims** — exactly one caller wins any task, no matter
       how many claim concurrently (from threads, processes or hosts);
@@ -108,29 +112,19 @@ class TaskQueue(abc.ABC):
     Attributes every implementation exposes:
         lease_ttl: seconds before an unrefreshed lease is considered
             dead and its task re-queued.
-        results: the content-addressed result store
-            (:class:`~repro.runner.cache.ResultCache`-shaped: ``get`` /
-            ``put`` / ``discard`` / ``discard_many``) where completed
-            task outputs land.
+        results: the content-addressed result store where completed
+            task outputs land; the contract writes it with ``put`` and
+            ``discard_many`` and reads it through :meth:`poll_many`.
     """
 
     lease_ttl: float
     results: object
 
     @abc.abstractmethod
-    def submit(self, payload: Mapping[str, object]) -> str:
-        """Enqueue ``payload`` (idempotent); returns its task id."""
-
     def submit_many(self, payloads: Sequence[Mapping[str, object]]) -> List[str]:
-        """Enqueue every payload (idempotent); returns their task ids.
+        """Enqueue every payload (idempotent); returns their task ids."""
 
-        The default is a :meth:`submit` loop — correct for any
-        implementation.  Queues with per-operation latency (the HTTP
-        :class:`~repro.runner.transport.client.RemoteWorkQueue`)
-        override this with one batched round trip.
-        """
-        return [self.submit(payload) for payload in payloads]
-
+    @abc.abstractmethod
     def poll_many(
         self, task_ids: Sequence[str]
     ) -> Dict[str, Dict[str, object]]:
@@ -138,34 +132,11 @@ class TaskQueue(abc.ABC):
 
         Each entry answers everything a submitter tick asks about a
         task — ``{"result": payload-or-None, "failed": bool,
-        "error": str, "lease_live": bool}`` — so one call replaces the
-        per-task ``results.get`` + ``is_failed`` + ``has_live_lease``
-        round trips.  ``failed``/``lease_live`` are only probed when
-        there is no result yet: a finished task's other states are
-        irrelevant to the poll loop.
-
-        The default is a per-task loop; the HTTP client overrides it
-        with a single ``batch/poll`` round trip.
+        "error": str, "lease_live": bool}`` — for the whole sweep in
+        one call.  ``failed``/``lease_live`` are only probed when there
+        is no result yet: a finished task's other states are irrelevant
+        to the poll loop.
         """
-        snapshot: Dict[str, Dict[str, object]] = {}
-        for task_id in task_ids:
-            result = self.results.get(task_id)
-            failed = False
-            error = ""
-            lease_live = False
-            if result is None:
-                failed = self.is_failed(task_id)
-                if failed:
-                    error = self.failed_error(task_id)
-                else:
-                    lease_live = self.has_live_lease(task_id)
-            snapshot[task_id] = {
-                "result": result,
-                "failed": failed,
-                "error": error,
-                "lease_live": lease_live,
-            }
-        return snapshot
 
     @abc.abstractmethod
     def claim(self, worker: str = "") -> Optional[Task]:
@@ -182,18 +153,6 @@ class TaskQueue(abc.ABC):
     @abc.abstractmethod
     def fail(self, task: Task, error: str = "") -> None:
         """Quarantine ``task`` (sticky) instead of re-queueing it."""
-
-    @abc.abstractmethod
-    def is_failed(self, task_id: str) -> bool:
-        """Whether ``task_id`` has been quarantined."""
-
-    @abc.abstractmethod
-    def failed_error(self, task_id: str) -> str:
-        """The recorded traceback for a quarantined task ('' if none)."""
-
-    @abc.abstractmethod
-    def has_live_lease(self, task_id: str) -> bool:
-        """Whether some worker currently holds an unexpired lease."""
 
     @abc.abstractmethod
     def requeue_expired(self, now: Optional[float] = None) -> int:
@@ -339,6 +298,34 @@ class WorkQueue(TaskQueue):
             # wasted work in the common interleaving.
             _unlink(path)
         return task_id
+
+    def submit_many(self, payloads: Sequence[Mapping[str, object]]) -> List[str]:
+        """Enqueue every payload (idempotent); returns their task ids."""
+        return [self.submit(payload) for payload in payloads]
+
+    def poll_many(
+        self, task_ids: Sequence[str]
+    ) -> Dict[str, Dict[str, object]]:
+        """One status snapshot per task id (see :meth:`TaskQueue.poll_many`)."""
+        snapshot: Dict[str, Dict[str, object]] = {}
+        for task_id in task_ids:
+            result = self.results.get(task_id)
+            failed = False
+            error = ""
+            lease_live = False
+            if result is None:
+                failed = self.is_failed(task_id)
+                if failed:
+                    error = self.failed_error(task_id)
+                else:
+                    lease_live = self.has_live_lease(task_id)
+            snapshot[task_id] = {
+                "result": result,
+                "failed": failed,
+                "error": error,
+                "lease_live": lease_live,
+            }
+        return snapshot
 
     # -- claiming -----------------------------------------------------------
 

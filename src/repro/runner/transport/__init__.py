@@ -7,18 +7,16 @@ putting one HTTP coordinator in front of the queue directory:
 - :class:`CoordinatorServer` (``repro coordinator``) — a stdlib-only
   ``ThreadingHTTPServer`` that owns the queue directory and exposes the
   :class:`~repro.runner.queue.TaskQueue` contract as REST endpoints
-  (``submit`` / ``claim`` / ``extend`` / ``complete`` / ``fail`` /
-  ``stats`` plus the result store, and the batched ``batch/submit`` /
-  ``batch/poll`` that answer a whole sweep's poll tick in one round
-  trip), guarded by an optional shared token, with transparent gzip on
-  request and reply bodies.
+  (``claim`` / ``extend`` / ``complete`` / ``fail`` / ``stats``, the
+  result store's ``put`` / ``discard_many``, and the batched
+  ``batch/submit`` / ``batch/poll`` that answer a whole sweep's poll
+  tick in one round trip), guarded by an optional shared token, with
+  gzip on request and reply bodies of 1 KiB or more.
 - :class:`RemoteWorkQueue` (``repro worker --coordinator URL``,
   ``--backend http``) — a urllib client implementing the same
   :class:`~repro.runner.queue.TaskQueue` contract against that URL,
   with bounded exponential-backoff retries so a coordinator restart
-  mid-sweep is survived, not fatal.  Batch endpoints and request
-  compression are negotiated: against an older coordinator the client
-  falls back to the per-task endpoints and identity encoding.
+  mid-sweep is survived, not fatal.
 
 The topology mirrors the paper's distributed DAQ: many dumb readout
 workers, one event builder.  Because both sides speak the exact

@@ -11,10 +11,12 @@ the wire hardening is written (and tested) once:
   gzip request bodies are streamed through a decompressor that enforces
   the cap on the *decompressed* size — a tiny bomb cannot balloon in
   memory.
-- Transparent gzip replies for clients that sent ``Accept-Encoding:
-  gzip`` (honouring ``q=0`` refusals), above a minimum size where the
-  compression round trip pays for itself.
-- A flat per-instance route table (``{path: {method: handler}}``, with
+- One gzip rule for both directions: a body of :data:`GZIP_MIN_BYTES`
+  or more is gzip-compressed.  The coordinator's client
+  (``RemoteWorkQueue``) applies it to its request bodies; the server
+  applies it to every reply for clients that sent ``Accept-Encoding:
+  gzip`` (honouring ``q=0`` refusals).
+- A flat route table (``{path: {method: handler}}``, with
   a ``(method, handler)`` tuple accepted as single-method shorthand),
   request counting on known routes only, and error replies that close
   the connection so unread bodies cannot desync a keep-alive socket.
@@ -62,9 +64,10 @@ from repro.obs import (
 #: For gzip requests the limit applies to the *decompressed* size.
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-#: Replies smaller than this are sent identity-encoded even to gzip
-#: clients: below a packet's worth of JSON the compression round trip
-#: costs more than the bytes it saves.
+#: Bodies of this many bytes or more are gzip-compressed, in both
+#: directions: requests always, replies when the client accepts gzip.
+#: Below a packet's worth of JSON the compression round trip costs more
+#: than the bytes it saves.
 GZIP_MIN_BYTES = 1024
 
 #: ``X-Repro-Protocol`` value: 2 = batch endpoints + gzip both ways.
@@ -82,8 +85,8 @@ Route = Union[Tuple[str, Handler], Mapping[str, Handler]]
 class RawReply:
     """A non-JSON response body a handler may return instead of a dict.
 
-    Travels the same reply path as JSON (auth already passed, gzip
-    negotiation, request-id echo) but with the given content type —
+    Travels the same reply path as JSON (auth already passed, the gzip
+    rule, request-id echo) but with the given content type —
     Prometheus exposition is the one current user.
     """
 
@@ -304,8 +307,7 @@ class JsonApiServer(ThreadingHTTPServer):
         host / port: bind address; port ``0`` picks an ephemeral port
             (``server_port`` / ``url`` report the actual one).
         handler: the :class:`JsonApiHandler` subclass to dispatch to.
-        routes: the instance route table (a mutable copy is kept, so
-            tests can delete entries to impersonate older peers).
+        routes: the route table, ``{path: route}``.
         token: shared secret; ``None`` serves unauthenticated (loopback
             testing).  Production deployments should always set one.
         quiet: suppress event log lines (tests).
@@ -340,8 +342,7 @@ class JsonApiServer(ThreadingHTTPServer):
         self.token = token
         self.quiet = quiet
         self.max_body_bytes = int(max_body_bytes)
-        #: The live route table — an instance copy, free to edit.
-        self.routes: Dict[str, Route] = dict(routes)
+        self.routes = routes
         self.registry = registry if registry is not None else MetricsRegistry()
         self.events = events if events is not None else EventLog()
         self._request_counter = self.registry.counter(

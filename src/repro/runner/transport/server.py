@@ -13,32 +13,29 @@ ride out the gap.
 
 Endpoints (all under ``/api/v1``; request and response bodies are JSON):
 
-====================  ====  ===================================================
-``/stats``            GET   queue counters, lease TTL, live lease owners
-``/submit``           POST  ``{payload}`` -> ``{task_id}``
-``/claim``            POST  ``{worker}`` -> ``{task_id, payload, lease}`` |
-                            ``{task: null}``
-``/extend``           POST  ``{task_id, lease}`` heartbeat
-``/complete``         POST  ``{task_id, lease[, result]}`` store + release
-``/fail``             POST  ``{task_id, lease, error}`` sticky quarantine
-``/failed``           POST  ``{task_id}`` -> ``{failed, error}``
-``/lease``            POST  ``{task_id}`` -> ``{live}``
-``/requeue``          POST  expire dead leases -> ``{requeued}``
-``/results/get``      POST  ``{key}`` -> ``{found, result}``
-``/results/has``      POST  ``{key}`` -> ``{found}`` (no payload transfer)
-``/results/put``      POST  ``{key, result}``
-``/results/discard``  POST  ``{key}``
-``/results/discard_many``  POST  ``{keys: [...]}``
-``/batch/submit``     POST  ``{payloads: [...]}`` -> ``{task_ids: [...]}``
-``/batch/poll``       POST  ``{task_ids: [...]}`` ->
-                            ``{tasks: {id: {result, failed, error,
-                            lease_live}}}``
-====================  ====  ===================================================
+==========================  ====  =============================================
+``/stats``                  GET   queue counters, lease TTL, live lease owners
+``/health``                 GET   protocol version, queue-dir writability
+``/events``                 GET   the structured event ring
+``/claim``                  POST  ``{worker}`` -> ``{task_id, payload, lease}``
+                                  | ``{task: null}``
+``/extend``                 POST  ``{task_id, lease}`` heartbeat
+``/complete``               POST  ``{task_id, lease}`` release
+``/fail``                   POST  ``{task_id, lease, error}`` sticky quarantine
+``/requeue``                POST  expire dead leases -> ``{requeued}``
+``/results/put``            POST  ``{key, result}``
+``/results/discard_many``   POST  ``{keys: [...]}``
+``/batch/submit``           POST  ``{payloads: [...]}`` -> ``{task_ids: [...]}``
+``/batch/poll``             POST  ``{task_ids: [...]}`` ->
+                                  ``{tasks: {id: {result, failed, error,
+                                  lease_live}}}``
+==========================  ====  =============================================
 
-The ``batch/*`` endpoints exist so a submitter tick over an N-point
-sweep costs one round trip instead of ~3N (``results/get`` + ``failed``
-+ ``lease`` per task); old clients that never call them keep working
-against the per-task endpoints.
+plus ``GET /metrics.prom`` (Prometheus text).  That is the whole of
+protocol 2, the only wire the coordinator speaks.  Submissions and
+status polls are batched, so a submitter tick over an N-point sweep
+costs one ``batch/poll`` round trip; a worker stores its result with
+``results/put`` and then releases the lease with ``complete``.
 
 The generic HTTP machinery — Bearer-token auth, capped body reads,
 transparent gzip on requests and replies, route/counter bookkeeping —
@@ -69,7 +66,6 @@ from repro.runner.transport.http_common import (
     JsonApiServer,
     RawReply,
     RequestError,
-    gunzip_capped,
     read_token_file,
 )
 
@@ -91,11 +87,6 @@ DEFAULT_COORDINATOR_PORT = 8642
 #: body).  Clients chunk far below this; the cap stops one request
 #: from pinning a handler thread on an unbounded loop.
 MAX_BATCH_POLL_IDS = 10_000
-
-#: Backwards-compatible aliases: the PR 5 wire tests (and any external
-#: code) reach for these under their pre-factoring names.
-_RequestError = RequestError
-_gunzip_capped = gunzip_capped
 
 _HEX_DIGITS = set("0123456789abcdef")
 _LEASE_CHARS = set(
@@ -239,12 +230,6 @@ class CoordinatorHandler(JsonApiHandler):
         self.server.sync_registry()
         return RawReply(render(self.server.registry), PROM_CONTENT_TYPE)
 
-    def _ep_submit(self, body: Dict[str, object]) -> Dict[str, object]:
-        payload = body.get("payload")
-        if not isinstance(payload, dict):
-            raise RequestError(400, "submit requires a JSON 'payload' object")
-        return {"task_id": self.server.queue.submit(payload)}
-
     def _ep_claim(self, body: Dict[str, object]) -> Dict[str, object]:
         worker = _valid_worker(body.get("worker"))
         task = self.server.queue.claim(worker)
@@ -266,11 +251,6 @@ class CoordinatorHandler(JsonApiHandler):
 
     def _ep_complete(self, body: Dict[str, object]) -> Dict[str, object]:
         task = self._task(body)
-        result = body.get("result")
-        if result is not None:
-            if not isinstance(result, dict):
-                raise RequestError(400, "result must be a JSON object")
-            self.server.queue.results.put(task.task_id, result)
         self.server.queue.complete(task)
         owner = lease_owner(task.lease)
         self.server.record_outcome(owner, ok=True)
@@ -288,17 +268,6 @@ class CoordinatorHandler(JsonApiHandler):
         )
         return {"ok": True}
 
-    def _ep_failed(self, body: Dict[str, object]) -> Dict[str, object]:
-        task_id = _valid_key(body.get("task_id"))
-        queue = self.server.queue
-        if not queue.is_failed(task_id):
-            return {"failed": False, "error": ""}
-        return {"failed": True, "error": queue.failed_error(task_id)}
-
-    def _ep_lease(self, body: Dict[str, object]) -> Dict[str, object]:
-        task_id = _valid_key(body.get("task_id"))
-        return {"live": self.server.queue.has_live_lease(task_id)}
-
     def _ep_requeue(self, body: Dict[str, object]) -> Dict[str, object]:
         del body
         requeued = self.server.queue.requeue_expired()
@@ -306,26 +275,12 @@ class CoordinatorHandler(JsonApiHandler):
             self._log_event(f"requeued {requeued} expired lease(s)")
         return {"requeued": requeued}
 
-    def _ep_result_get(self, body: Dict[str, object]) -> Dict[str, object]:
-        key = _valid_key(body.get("key"))
-        result = self.server.queue.results.get(key)
-        return {"found": result is not None, "result": result}
-
-    def _ep_result_has(self, body: Dict[str, object]) -> Dict[str, object]:
-        key = _valid_key(body.get("key"))
-        return {"found": key in self.server.queue.results}
-
     def _ep_result_put(self, body: Dict[str, object]) -> Dict[str, object]:
         key = _valid_key(body.get("key"))
         result = body.get("result")
         if not isinstance(result, dict):
             raise RequestError(400, "result must be a JSON object")
         self.server.queue.results.put(key, result)
-        return {"ok": True}
-
-    def _ep_result_discard(self, body: Dict[str, object]) -> Dict[str, object]:
-        key = _valid_key(body.get("key"))
-        self.server.queue.results.discard(key)
         return {"ok": True}
 
     def _ep_result_discard_many(
@@ -412,18 +367,12 @@ _ROUTES = {
     "/api/v1/health": ("GET", CoordinatorHandler._ep_health),
     "/api/v1/events": ("GET", CoordinatorHandler._ep_events),
     "/metrics.prom": ("GET", CoordinatorHandler._ep_metrics_prom),
-    "/api/v1/submit": ("POST", CoordinatorHandler._ep_submit),
     "/api/v1/claim": ("POST", CoordinatorHandler._ep_claim),
     "/api/v1/extend": ("POST", CoordinatorHandler._ep_extend),
     "/api/v1/complete": ("POST", CoordinatorHandler._ep_complete),
     "/api/v1/fail": ("POST", CoordinatorHandler._ep_fail),
-    "/api/v1/failed": ("POST", CoordinatorHandler._ep_failed),
-    "/api/v1/lease": ("POST", CoordinatorHandler._ep_lease),
     "/api/v1/requeue": ("POST", CoordinatorHandler._ep_requeue),
-    "/api/v1/results/get": ("POST", CoordinatorHandler._ep_result_get),
-    "/api/v1/results/has": ("POST", CoordinatorHandler._ep_result_has),
     "/api/v1/results/put": ("POST", CoordinatorHandler._ep_result_put),
-    "/api/v1/results/discard": ("POST", CoordinatorHandler._ep_result_discard),
     "/api/v1/results/discard_many": (
         "POST",
         CoordinatorHandler._ep_result_discard_many,

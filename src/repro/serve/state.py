@@ -648,10 +648,25 @@ class ServeState:
         try:
             outputs = self.adapter.infer(all_rows, model=replica.model)
         except BaseException as exc:
+            # The error belongs to the batch's jobs, not to this leader,
+            # whose own job may not be in the batch: each waiter raises
+            # it from its own infer(), and the leader goes back to
+            # waiting for its job.  Only interpreter-level exits
+            # (KeyboardInterrupt, SystemExit) propagate from here.
+            request_error = isinstance(exc, Exception)
             for job in batch:
+                if request_error:
+                    self.events.emit(
+                        "infer_error",
+                        request_id=job.request_id,
+                        rows=len(job.rows),
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
                 job.error = exc
                 job.done.set()
-            raise
+            if not request_error:
+                raise
+            return
         forward_end = time.perf_counter()
         for job in batch:
             job.forward_end = forward_end

@@ -252,7 +252,7 @@ class TestHttpBackend:
         baseline = ParallelRunner().run(job)
         with coordinator(tmp_path / "queue") as server:
             doomed_worker = RemoteWorkQueue(server.url)
-            doomed_worker.submit(job.point_payload(job.thetas[0]))
+            doomed_worker.submit_many([job.point_payload(job.thetas[0])])
             doomed = doomed_worker.claim("doomed")
             assert doomed is not None
             # ... and the worker dies: back-date its lease on the
@@ -288,8 +288,7 @@ class TestHttpBackend:
         first.serve_in_thread()
         port = first.server_address[1]
         client = RemoteWorkQueue(first.url, backoff=0.1)
-        for theta in job.thetas:
-            client.submit(job.point_payload(theta))
+        client.submit_many([job.point_payload(theta) for theta in job.thetas])
         in_flight = client.claim("survivor")
         assert in_flight is not None
         first.stop()  # the coordinator dies mid-sweep ...

@@ -1,21 +1,18 @@
 """Tests for the batched, gzip-compressed coordinator wire protocol.
 
-PR 5's contract, from the wire up:
+Protocol 2 — the coordinator's only wire — from the wire up:
 
-- ``TaskQueue.submit_many`` / ``poll_many`` defaults on the file queue;
+- ``WorkQueue.submit_many`` / ``poll_many`` on the file queue;
 - ``/api/v1/batch/submit`` and ``/api/v1/batch/poll`` endpoints, spoken
   by ``RemoteWorkQueue`` so one submitter poll tick over an N-task
-  sweep costs one round trip instead of ~3N (proved with the
-  coordinator's request counters);
-- transparent gzip on both request and reply paths, with the body cap
-  enforced on the *decompressed* size;
-- interoperability both ways: a new client against an old coordinator
-  (batch routes removed) falls back to the per-task endpoints and
-  identity encoding; an old-style client (per-task endpoints, no gzip)
-  keeps working against the new coordinator;
-- the PR 4 review's transport fixes: Content-Length validation (400 /
-  411), server-side worker-name validation, ``results/has`` membership
-  without payload transfer, and bounded-staleness lease-TTL refresh.
+  sweep costs one round trip (proved with the coordinator's request
+  counters: a submitter touches nothing but the batch routes and
+  ``requeue``);
+- one gzip rule on both request and reply paths (bodies of 1 KiB or
+  more), with the body cap enforced on the *decompressed* size;
+- transport hardening: Content-Length validation (400 / 411),
+  server-side worker-name validation, and bounded-staleness lease-TTL
+  refresh.
 """
 
 import gzip
@@ -36,20 +33,17 @@ from repro.runner import (
     drain,
     payload_key,
 )
+from repro.runner.transport.http_common import GZIP_MIN_BYTES
 
-BATCH_ENDPOINTS = (
+#: Every route an ``HttpBackend`` submitter may reach: the batch routes
+#: plus the lease-expiry sweep.  Its request count per poll tick is
+#: independent of the sweep size only while nothing else appears.
+SUBMITTER_ROUTES = {
     "/api/v1/batch/submit",
     "/api/v1/batch/poll",
-    "/api/v1/results/has",
     "/api/v1/results/discard_many",
-)
-
-PER_TASK_POLL_ENDPOINTS = (
-    "/api/v1/results/get",
-    "/api/v1/failed",
-    "/api/v1/lease",
-    "/api/v1/submit",
-)
+    "/api/v1/requeue",
+}
 
 
 def sample_payload(tag: int = 0):
@@ -74,18 +68,8 @@ def remote(coordinator):
     return RemoteWorkQueue(coordinator.url, retries=1, backoff=0.05)
 
 
-@pytest.fixture()
-def legacy_coordinator(coordinator):
-    """The same coordinator minus the protocol-2 routes: how an old
-    (PR 4) coordinator answers a new client — 404 on every batch
-    endpoint, per-task endpoints untouched."""
-    for endpoint in BATCH_ENDPOINTS:
-        del coordinator.routes[endpoint]
-    return coordinator
-
-
 class TestFileQueueBatchDefaults:
-    """The contract's default loop implementations on the file queue."""
+    """The file queue's per-task loops behind the batch contract."""
 
     def test_submit_many_matches_per_task_ids(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", lease_ttl=60)
@@ -155,8 +139,7 @@ class TestRemoteBatch:
         ids = remote.submit_many(payloads)
         assert ids == [payload_key(p) for p in payloads]
         assert coordinator.queue.pending_count() == 5
-        assert coordinator.request_counts["/api/v1/batch/submit"] == 1
-        assert coordinator.request_counts["/api/v1/submit"] == 0
+        assert coordinator.request_counts == {"/api/v1/batch/submit": 1}
 
     def test_poll_many_is_one_round_trip(self, coordinator, remote):
         ids = remote.submit_many([sample_payload(i) for i in range(10)])
@@ -202,8 +185,9 @@ class TestRemoteBatch:
             coordinator.queue.results.put(key, blob)
         remote.results.discard_many(keys)
         assert all(coordinator.queue.results.get(key) is None for key in keys)
-        assert coordinator.request_counts["/api/v1/results/discard_many"] == 1
-        assert coordinator.request_counts["/api/v1/results/discard"] == 0
+        assert coordinator.request_counts == {
+            "/api/v1/results/discard_many": 1
+        }
 
     def test_requests_chunk_below_the_server_cap(
         self, coordinator, remote, monkeypatch
@@ -319,8 +303,7 @@ class TestRoundTripsPerTick:
         assert results == [echo_handler(p) for p in payloads]
         # Everything was already done: one batch/poll answered all 8.
         assert coordinator.request_counts["/api/v1/batch/poll"] == 1
-        for endpoint in PER_TASK_POLL_ENDPOINTS:
-            assert coordinator.request_counts[endpoint] == 0
+        assert set(coordinator.request_counts) <= SUBMITTER_ROUTES
 
     def test_waiting_sweep_never_touches_per_task_endpoints(
         self, coordinator
@@ -340,12 +323,11 @@ class TestRoundTripsPerTick:
         finally:
             worker.join()
         assert results == [echo_handler(p) for p in payloads]
-        # One batched submit, batched polls, zero per-task traffic: the
+        # One batched submit, batched polls, nothing per task: the
         # request count per tick is independent of the sweep size.
         assert coordinator.request_counts["/api/v1/batch/submit"] == 1
         assert coordinator.request_counts["/api/v1/batch/poll"] >= 1
-        for endpoint in PER_TASK_POLL_ENDPOINTS:
-            assert coordinator.request_counts[endpoint] == 0
+        assert set(coordinator.request_counts) <= SUBMITTER_ROUTES
 
     def test_no_cache_sweep_discards_in_one_round_trip(self, coordinator):
         payloads = [sample_payload(i) for i in range(6)]
@@ -372,7 +354,7 @@ class TestRoundTripsPerTick:
             worker.join()
         assert results == [echo_handler(p) for p in payloads]
         assert coordinator.request_counts["/api/v1/results/discard_many"] == 1
-        assert coordinator.request_counts["/api/v1/results/discard"] == 0
+        assert set(coordinator.request_counts) <= SUBMITTER_ROUTES
 
     def test_failed_task_surfaces_through_batch_poll(self, coordinator):
         payload = sample_payload(13)
@@ -383,28 +365,32 @@ class TestRoundTripsPerTick:
         backend = HttpBackend(coordinator.url, drain=False, timeout=30)
         with pytest.raises(QueueTaskFailed, match="deterministic poison"):
             backend.execute([payload])
-        for endpoint in PER_TASK_POLL_ENDPOINTS:
-            assert coordinator.request_counts[endpoint] == 0
+        assert set(coordinator.request_counts) <= SUBMITTER_ROUTES
 
 
 class TestGzip:
-    def test_request_bodies_compressed(self, coordinator):
-        client = RemoteWorkQueue(
-            coordinator.url, retries=1, backoff=0.05, gzip_mode="always"
-        )
+    def test_request_bodies_compressed(self, coordinator, remote):
         blob = {"blob": "x" * 50_000}
         key = payload_key(blob)
-        client.results.put(key, blob)
+        remote.results.put(key, blob)
         # Stored intact on the coordinator's disk ...
         assert coordinator.queue.results.get(key) == blob
         # ... but the wire carried the compressed form.
-        assert client.bytes_sent < 10_000
+        assert remote.bytes_sent < 10_000
+
+    def test_small_request_bodies_stay_identity(self, coordinator, remote):
+        """Below GZIP_MIN_BYTES a request goes out as plain JSON — the
+        rule the coordinator applies to its replies."""
+        body = {"key": payload_key(sample_payload()), "result": {"ok": True}}
+        assert len(json.dumps(body)) < GZIP_MIN_BYTES
+        remote.results.put(body["key"], body["result"])
+        assert remote.bytes_sent == len(json.dumps(body))
 
     def test_replies_compressed_for_gzip_clients(self, coordinator, remote):
         blob = {"blob": "y" * 50_000}
         key = payload_key(blob)
         coordinator.queue.results.put(key, blob)
-        assert remote.results.get(key) == blob
+        assert remote.poll_many([key])[key]["result"] == blob
         assert remote.bytes_received < 10_000
 
     def test_reply_compression_visible_on_the_wire(self, coordinator):
@@ -416,8 +402,8 @@ class TestGzip:
         try:
             conn.request(
                 "POST",
-                "/api/v1/results/get",
-                body=json.dumps({"key": key}),
+                "/api/v1/batch/poll",
+                body=json.dumps({"task_ids": [key]}),
                 headers={
                     "Content-Type": "application/json",
                     "Accept-Encoding": "gzip",
@@ -428,7 +414,7 @@ class TestGzip:
             assert response.getheader("Content-Encoding") == "gzip"
             assert response.getheader("X-Repro-Protocol") == "2"
             reply = json.loads(gzip.decompress(response.read()))
-            assert reply["result"] == blob
+            assert reply["tasks"][key]["result"] == blob
         finally:
             conn.close()
 
@@ -443,8 +429,8 @@ class TestGzip:
         try:
             conn.request(
                 "POST",
-                "/api/v1/results/get",
-                body=json.dumps({"key": key}),
+                "/api/v1/batch/poll",
+                body=json.dumps({"task_ids": [key]}),
                 headers={
                     "Content-Type": "application/json",
                     "Accept-Encoding": "gzip;q=0",
@@ -453,45 +439,10 @@ class TestGzip:
             response = conn.getresponse()
             assert response.status == 200
             assert response.getheader("Content-Encoding") is None
-            assert json.loads(response.read())["result"] == blob
+            reply = json.loads(response.read())
+            assert reply["tasks"][key]["result"] == blob
         finally:
             conn.close()
-
-    def test_auto_gzip_downgrades_after_coordinator_swap(
-        self, coordinator, monkeypatch
-    ):
-        """A coordinator replaced mid-sweep by a PR 4 build (no gzip
-        support) must not kill the sweep: the first bounced gzip body
-        pins the client back to identity encoding, like the batch 404
-        fallback."""
-        from repro.runner.transport import server as server_module
-
-        def pr4_read_body(handler):
-            length = int(handler.headers.get("Content-Length", 0) or 0)
-            raw = handler.rfile.read(length) if length else b"{}"
-            try:
-                parsed = json.loads(raw or b"{}")
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise server_module._RequestError(
-                    400, f"request body is not JSON: {exc}"
-                ) from exc
-            return parsed
-
-        client = RemoteWorkQueue(coordinator.url, retries=2, backoff=0.01)
-        client.stats()  # learn protocol 2 while the new build serves
-        assert client._peer_gzip
-
-        monkeypatch.setattr(
-            server_module.CoordinatorHandler, "_read_body", pr4_read_body
-        )
-        blob = {"blob": "x" * 50_000}
-        key = payload_key(blob)
-        client.results.put(key, blob)  # gzip bounces; retried identity
-        assert coordinator.queue.results.get(key) == blob
-        assert client._gzip_refused
-        trips = client.round_trips
-        client.results.put(key, blob)  # pinned: one identity attempt
-        assert client.round_trips == trips + 1
 
     def test_small_replies_stay_identity(self, coordinator):
         host, port = coordinator.server_address[:2]
@@ -507,17 +458,6 @@ class TestGzip:
         finally:
             conn.close()
 
-    def test_auto_mode_waits_for_the_peer_to_advertise(self, coordinator):
-        client = RemoteWorkQueue(coordinator.url, retries=1, backoff=0.05)
-        assert not client._peer_gzip  # nothing heard from the peer yet
-        client.stats()
-        # The reply's X-Repro-Protocol header unlocked request gzip.
-        assert client._peer_gzip
-        blob = {"blob": "w" * 50_000}
-        sent_before = client.bytes_sent
-        client.results.put(payload_key(blob), blob)
-        assert client.bytes_sent - sent_before < 10_000
-
     def test_decompressed_size_limit_enforced(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", lease_ttl=60)
         server = CoordinatorServer(
@@ -525,9 +465,7 @@ class TestGzip:
         )
         server.serve_in_thread()
         try:
-            client = RemoteWorkQueue(
-                server.url, retries=1, backoff=0.05, gzip_mode="always"
-            )
+            client = RemoteWorkQueue(server.url, retries=1, backoff=0.05)
             blob = {"blob": "x" * 50_000}  # ~300 bytes gzipped
             with pytest.raises(TransportError) as excinfo:
                 client.results.put(payload_key(blob), blob)
@@ -571,109 +509,6 @@ class TestGzip:
             assert conn.getresponse().status == 415
         finally:
             conn.close()
-
-    def test_gzip_mode_validated(self):
-        with pytest.raises(ValueError, match="gzip_mode"):
-            RemoteWorkQueue("http://127.0.0.1:9", gzip_mode="sometimes")
-
-
-class TestInterop:
-    """Old peers and new peers must keep understanding each other."""
-
-    def test_new_client_falls_back_against_old_coordinator(
-        self, legacy_coordinator
-    ):
-        client = RemoteWorkQueue(
-            legacy_coordinator.url, retries=1, backoff=0.05
-        )
-        payloads = [sample_payload(i) for i in range(3)]
-        ids = client.submit_many(payloads)
-        assert ids == [payload_key(p) for p in payloads]
-        assert client._batch_ok is False  # pinned after the first 404
-        assert legacy_coordinator.queue.pending_count() == 3
-        snapshot = client.poll_many(ids)
-        assert set(snapshot) == set(ids)
-        # The fallback really is the per-task protocol.
-        counts = legacy_coordinator.request_counts
-        assert counts["/api/v1/submit"] == 3
-        assert counts["/api/v1/results/get"] >= 3
-
-    def test_membership_falls_back_to_get(self, legacy_coordinator):
-        client = RemoteWorkQueue(
-            legacy_coordinator.url, retries=1, backoff=0.05
-        )
-        key = payload_key(sample_payload())
-        assert key not in client.results
-        client.results.put(key, {"ok": True})
-        assert key in client.results
-
-    def test_discard_many_falls_back_to_per_key(self, legacy_coordinator):
-        client = RemoteWorkQueue(
-            legacy_coordinator.url, retries=1, backoff=0.05
-        )
-        keys = [payload_key(sample_payload(i)) for i in range(3)]
-        for key in keys:
-            client.results.put(key, {"ok": True})
-        client.results.discard_many(keys)
-        queue = legacy_coordinator.queue
-        assert all(queue.results.get(key) is None for key in keys)
-        assert (
-            legacy_coordinator.request_counts["/api/v1/results/discard"] == 3
-        )
-
-    def test_http_backend_sweep_completes_against_old_coordinator(
-        self, legacy_coordinator
-    ):
-        payloads = [sample_payload(i) for i in range(4)]
-        worker = threading.Thread(
-            target=drain,
-            args=(legacy_coordinator.queue, echo_handler),
-            kwargs={"idle_timeout": 10.0, "poll_interval": 0.02},
-        )
-        worker.start()
-        try:
-            backend = HttpBackend(
-                legacy_coordinator.url,
-                drain=False,
-                timeout=60,
-                poll_interval=0.05,
-            )
-            results = backend.execute(payloads)
-        finally:
-            worker.join()
-        assert results == [echo_handler(p) for p in payloads]
-
-    def test_first_auto_request_is_identity_encoded(self, coordinator):
-        """What keeps a new client safe against an old coordinator: it
-        never gzips before the peer has advertised support, so the
-        first request would parse on a PR 4 server too."""
-        client = RemoteWorkQueue(coordinator.url, retries=1, backoff=0.05)
-        payload = {"payload": sample_payload() | {"pad": "p" * 5_000}}
-        client._call("submit", payload)
-        assert client.bytes_sent >= len(json.dumps(payload))
-
-    def test_old_style_client_still_speaks_to_new_coordinator(
-        self, coordinator
-    ):
-        """A PR 4 client: per-task endpoints, identity encoding, no
-        Accept-Encoding — byte-for-byte the old wire format."""
-        host, port = coordinator.server_address[:2]
-        conn = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            conn.request(
-                "POST",
-                "/api/v1/submit",
-                body=json.dumps({"payload": sample_payload()}),
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            assert response.status == 200
-            assert response.getheader("Content-Encoding") is None
-            reply = json.loads(response.read())
-            assert reply["task_id"] == payload_key(sample_payload())
-        finally:
-            conn.close()
-
 
 class TestBodyLengthValidation:
     """`_read_body` never trusts Content-Length (PR 4 review fix)."""
@@ -742,26 +577,11 @@ class TestWorkerNameValidation:
             remote._call("claim", {"worker": {"name": "object"}})
 
     def test_valid_and_empty_workers_accepted(self, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim("fleet-worker_1")
         assert task is not None
         remote.complete(task)
         assert remote.claim("") is None  # empty tag = anonymous, fine
-
-
-class TestResultsHas:
-    def test_membership_without_payload_transfer(self, coordinator, remote):
-        blob = {"blob": "m" * 50_000}
-        key = payload_key(blob)
-        coordinator.queue.results.put(key, blob)
-        received_before = remote.bytes_received
-        assert key in remote.results
-        assert remote.bytes_received - received_before < 1_000
-        assert coordinator.request_counts["/api/v1/results/has"] == 1
-        assert coordinator.request_counts["/api/v1/results/get"] == 0
-
-    def test_membership_miss(self, remote):
-        assert payload_key(sample_payload()) not in remote.results
 
 
 class TestLeaseTtlRefresh:

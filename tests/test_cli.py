@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.runner.transport.client as client_module
 from repro.cli import build_parser, main
 from repro.runner import (
     DEFAULT_COORDINATOR_PORT,
@@ -12,6 +13,22 @@ from repro.runner import (
     WorkQueue,
     payload_key,
 )
+from repro.runner.transport import http_common
+from repro.runner.transport.server import _ROUTES
+
+
+def record_gunzips(monkeypatch):
+    """Sizes of the gzip request bodies the coordinator inflates."""
+    inflated = []
+    gunzip_capped = http_common.gunzip_capped
+
+    def recording(raw, limit):
+        body = gunzip_capped(raw, limit)
+        inflated.append(len(body))
+        return body
+
+    monkeypatch.setattr(http_common, "gunzip_capped", recording)
+    return inflated
 
 
 class TestParser:
@@ -79,7 +96,6 @@ class TestParser:
         assert args.poll_interval == 0.1
         assert args.coordinator is None
         assert args.token_file is None
-        assert args.gzip == "auto"
 
     def test_coordinator_defaults(self):
         args = build_parser().parse_args(["coordinator"])
@@ -109,17 +125,6 @@ class TestParser:
             assert args.backend == "http"
             assert args.coordinator == "http://10.0.0.5:8642"
             assert args.token_file == "/tmp/tok"
-            assert args.gzip == "auto"
-
-    def test_gzip_flag_parsed_and_validated(self):
-        args = build_parser().parse_args(
-            ["sweep", "imdb", "--gzip", "always"]
-        )
-        assert args.gzip == "always"
-        args = build_parser().parse_args(["worker", "--gzip", "off"])
-        assert args.gzip == "off"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "imdb", "--gzip", "maybe"])
 
 
 class TestCommands:
@@ -394,26 +399,44 @@ class TestHttpCLI:
         assert capsys.readouterr().out == serial
 
     def test_http_sweep_with_forced_gzip_matches_serial(
-        self, capsys, coordinator
+        self, capsys, coordinator, monkeypatch
     ):
+        """With the gzip threshold forced to zero on both sides, every
+        request and reply body is compressed, and the sweep still
+        equals serial."""
         argv = ["sweep", "imdb", "--no-cache", "--thetas", "0.1", "0.3"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
+        inflated = record_gunzips(monkeypatch)
+        monkeypatch.setattr(client_module, "GZIP_MIN_BYTES", 0)
+        monkeypatch.setattr(http_common, "GZIP_MIN_BYTES", 0)
         assert main(
             argv + ["--backend", "http", "--coordinator", coordinator.url,
-                    "--gzip", "always", "--queue-timeout", "600"]
+                    "--queue-timeout", "600"]
         ) == 0
         assert capsys.readouterr().out == serial
+        posts = sum(
+            count for path, count in coordinator.request_counts.items()
+            if _ROUTES[path][0] == "POST"
+        )
+        assert len(inflated) == posts > 0
 
-    def test_http_sweep_with_shards_matches_serial(self, capsys, coordinator):
+    def test_http_sweep_with_shards_matches_serial(
+        self, capsys, coordinator, monkeypatch
+    ):
+        """Under the default rule the 6-payload ``batch/submit`` crosses
+        1 KiB, so this sweep travels partly gzipped and equals serial."""
         argv = ["sweep", "imdb", "--no-cache", "--thetas", "0.1", "0.3"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
+        inflated = record_gunzips(monkeypatch)
         assert main(
             argv + ["--backend", "http", "--coordinator", coordinator.url,
                     "--shards", "3", "--queue-timeout", "600"]
         ) == 0
         assert capsys.readouterr().out == serial
+        assert inflated
+        assert min(inflated) >= http_common.GZIP_MIN_BYTES
 
     def test_network_worker_drains_submitted_task(self, capsys, coordinator):
         job = SweepJob(network="imdb", thetas=(0.1,))

@@ -530,7 +530,7 @@ class TestCoordinatorTelemetry:
 
     def test_claim_to_complete_single_request_id(self, coordinator):
         client = RemoteWorkQueue(coordinator.url, retries=1, backoff=0.05)
-        client.submit({"kind": "t", "tag": 1})
+        client.submit_many([{"kind": "t", "tag": 1}])
         task = client.claim("owner-a")
         claim_id = client.last_request_id
         assert valid_request_id(claim_id)
@@ -549,10 +549,10 @@ class TestCoordinatorTelemetry:
         server.serve_in_thread()
         try:
             client = RemoteWorkQueue(server.url, retries=1, backoff=0.05)
-            client.submit({"kind": "t", "tag": 1})
+            client.submit_many([{"kind": "t", "tag": 1}])
             task = client.claim("owner-b")
             client.fail(task, error="boom")
-            client.submit({"kind": "t", "tag": 2})
+            client.submit_many([{"kind": "t", "tag": 2}])
             client.claim("owner-b")
             time.sleep(0.1)
             queue.requeue_expired()
@@ -569,8 +569,7 @@ class TestCoordinatorTelemetry:
 
     def test_per_owner_throughput_and_prom(self, coordinator):
         client = RemoteWorkQueue(coordinator.url, retries=1, backoff=0.05)
-        for tag in range(3):
-            client.submit({"kind": "t", "tag": tag})
+        client.submit_many([{"kind": "t", "tag": tag} for tag in range(3)])
         for _ in range(2):
             task = client.claim("owner-c")
             client.results.put(task.task_id, {"ok": True})

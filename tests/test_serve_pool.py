@@ -15,9 +15,10 @@ The load-bearing properties:
   rejected at the door, idle sessions are evicted instead of leaking,
   and `/metrics` reports reuse counters consistent with the
   scheme_version alongside them.
+- Failures stay local: a leader whose batch failed hands the error to
+  that batch's jobs and still serves its own request.
 """
 
-import math
 import threading
 import time
 
@@ -42,8 +43,8 @@ from repro.serve import (
     parse_layer_thetas,
     run_loadgen,
 )
-from repro.serve.loadgen import expected_outputs, scheme_from_info
-from repro.serve.state import SessionError
+from repro.serve.loadgen import expected_outputs
+from repro.serve.state import SessionError, _InferJob
 
 THETA = 0.05
 
@@ -238,6 +239,62 @@ class TestReplicaPool:
             full = speech.dataset.features[indices[1]].tolist()
             reply = state.infer([short, full])
             assert len(reply["outputs"]) == 2
+        finally:
+            state.unwrap()
+
+
+class TestLeaderErrors:
+    def test_leader_does_not_raise_another_jobs_error(self, imdb):
+        """Request B leads a forward that holds only the poisoned job A:
+        A gets the error (and an ``infer_error`` event), B still gets
+        its own answer, and nothing is left pending."""
+        index = int(imdb.test_idx[0])
+        scheme = MemoizationScheme(theta=THETA)
+        expected = expected_outputs(imdb, scheme, [index])
+        state = pooled_state(imdb, scheme, replicas=1, coalesce_ms=0.0)
+        try:
+            # Hold the only replica while A (an out-of-vocabulary token:
+            # its forward raises) is queued ahead of B.
+            replica = state._pool.get()
+            poisoned = _InferJob([np.array([10**6])], request_id="poisoned-a")
+            with state._pending_cond:
+                state._pending.append(poisoned)
+            reply = {}
+            errors = []
+
+            def request_b():
+                try:
+                    reply.update(state.infer(
+                        [imdb.dataset.tokens[index].tolist()],
+                        request_id="healthy-b",
+                    ))
+                # checks: allow-broad-except request thread collects errors for the main-thread assert
+                except Exception as exc:
+                    errors.append(exc)
+
+            thread = threading.Thread(target=request_b, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                with state._pending_cond:
+                    if len(state._pending) == 2:
+                        break
+                time.sleep(0.005)
+            # B's thread takes the replica back and leads A's forward.
+            with state._pending_cond:
+                assert state._pending[0] is poisoned
+                assert len(state._pending) == 2
+                state._pool.put(replica)
+                state._pending_cond.notify_all()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert not errors
+            assert reply["outputs"] == expected
+            assert isinstance(poisoned.error, IndexError)
+            with state._pending_cond:
+                assert state._pending == []
+            failures = state.events.snapshot(kind="infer_error")["events"]
+            assert [event["request_id"] for event in failures] == ["poisoned-a"]
         finally:
             state.unwrap()
 

@@ -35,6 +35,11 @@ def echo_handler(payload):
     return {"echo": payload["tag"]}
 
 
+def status(queue, task_id):
+    """One task's ``poll_many`` entry: result, failed, error, lease_live."""
+    return queue.poll_many([task_id])[task_id]
+
+
 @pytest.fixture()
 def coordinator(tmp_path):
     """A live coordinator on an ephemeral loopback port, plus its queue."""
@@ -53,7 +58,7 @@ def remote(coordinator):
 
 class TestRemoteLifecycle:
     def test_submit_claim_complete(self, coordinator, remote):
-        task_id = remote.submit(sample_payload())
+        (task_id,) = remote.submit_many([sample_payload()])
         assert task_id == payload_key(sample_payload())
         assert remote.pending_count() == 1
 
@@ -68,7 +73,7 @@ class TestRemoteLifecycle:
         remote.results.put(task.task_id, {"done": True})
         remote.complete(task)
         assert remote.active_count() == 0
-        assert remote.results.get(task_id) == {"done": True}
+        assert status(remote, task_id)["result"] == {"done": True}
         # ... and the result really lives in the coordinator's queue dir.
         assert coordinator.queue.results.get(task_id) == {"done": True}
 
@@ -76,20 +81,21 @@ class TestRemoteLifecycle:
         assert remote.claim() is None
 
     def test_submit_is_idempotent(self, remote):
-        assert remote.submit(sample_payload()) == remote.submit(sample_payload())
+        first = remote.submit_many([sample_payload()])
+        assert remote.submit_many([sample_payload()]) == first
         assert remote.pending_count() == 1
 
     def test_complete_is_idempotent(self, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim()
         remote.results.put(task.task_id, {"done": True})
         remote.complete(task)
         remote.complete(task)  # lease already gone: harmless no-op
         assert remote.active_count() == 0
-        assert remote.results.get(task.task_id) == {"done": True}
+        assert status(remote, task.task_id)["result"] == {"done": True}
 
     def test_extend_heartbeats_the_lease(self, coordinator, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim()
         lease_file = coordinator.queue.active_dir / (
             f"{task.task_id}.{task.lease}.json"
@@ -98,7 +104,7 @@ class TestRemoteLifecycle:
         time.sleep(0.05)
         remote.extend(task)
         assert lease_file.stat().st_mtime >= before
-        assert remote.has_live_lease(task.task_id)
+        assert status(remote, task.task_id)["lease_live"]
 
     def test_lease_ttl_comes_from_the_coordinator(self, remote):
         assert remote.lease_ttl == 60.0
@@ -106,14 +112,14 @@ class TestRemoteLifecycle:
     def test_results_discard(self, remote):
         key = payload_key(sample_payload())
         remote.results.put(key, {"done": True})
-        assert key in remote.results
-        remote.results.discard(key)
-        assert remote.results.get(key) is None
+        assert status(remote, key)["result"] == {"done": True}
+        remote.results.discard_many([key])
+        assert status(remote, key)["result"] is None
 
     def test_mixed_local_and_remote_participants(self, coordinator, remote):
         """A filesystem worker and a network worker share one queue."""
         local = coordinator.queue
-        remote.submit(sample_payload(1))
+        remote.submit_many([sample_payload(1)])
         local.submit(sample_payload(2))
         assert local.pending_count() == 2
         seen = set()
@@ -150,14 +156,14 @@ class TestLeaseTtlValidation:
 
 class TestOwnership:
     def test_lease_owner_includes_hostname_and_pid(self, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim("w1")
         owner = lease_owner(task.lease)
         assert owner.startswith("w1-")
         assert owner.endswith(default_owner())  # host + pid of this test
 
     def test_stats_report_active_owners(self, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim("w1")
         stats = remote.stats()
         assert stats["active"] == 1
@@ -167,16 +173,17 @@ class TestOwnership:
 
 class TestFailureAndRecovery:
     def test_fail_quarantines_with_error(self, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         task = remote.claim()
         remote.fail(task, error="RuntimeError: boom over http")
         assert remote.failed_count() == 1
-        assert remote.is_failed(task.task_id)
-        assert "boom over http" in remote.failed_error(task.task_id)
+        entry = status(remote, task.task_id)
+        assert entry["failed"]
+        assert "boom over http" in entry["error"]
         assert remote.claim() is None  # sticky: not re-queued
 
     def test_expired_lease_requeues_over_http(self, coordinator, remote):
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         doomed = remote.claim("doomed")
         # Back-date the lease on the coordinator's disk: the worker died.
         lease_file = coordinator.queue.active_dir / (
@@ -187,7 +194,7 @@ class TestFailureAndRecovery:
         # checks: allow-wall-clock lease files expire by mtime, which is wall-clock epoch seconds
         past = time.time() - 10_000
         os.utime(lease_file, (past, past))
-        assert not remote.has_live_lease(doomed.task_id)
+        assert not status(remote, doomed.task_id)["lease_live"]
         assert remote.requeue_expired() == 1
         rescued = remote.claim("rescue")
         assert rescued is not None
@@ -195,16 +202,15 @@ class TestFailureAndRecovery:
         assert rescued.payload == doomed.payload
 
     def test_drain_loop_over_http(self, remote):
-        ids = [remote.submit(sample_payload(i)) for i in range(3)]
+        ids = remote.submit_many([sample_payload(i) for i in range(3)])
         assert drain(remote, echo_handler, idle_timeout=0.0) == 3
         for i, task_id in enumerate(ids):
-            assert remote.results.get(task_id) == {"echo": i}
+            assert status(remote, task_id)["result"] == {"echo": i}
         assert remote.pending_count() == 0
         assert remote.active_count() == 0
 
     def test_drain_quarantines_poison_over_http(self, remote, capsys):
-        remote.submit(sample_payload(0))
-        remote.submit(sample_payload(1))
+        remote.submit_many([sample_payload(0), sample_payload(1)])
 
         def fragile(payload):
             if payload["tag"] == 0:
@@ -228,7 +234,9 @@ class TestAuth:
 
     def test_right_token_accepted(self, secured):
         client = RemoteWorkQueue(secured.url, token="s3cret", retries=0)
-        assert client.submit(sample_payload()) == payload_key(sample_payload())
+        assert client.submit_many([sample_payload()]) == [
+            payload_key(sample_payload())
+        ]
 
     def test_missing_token_rejected(self, secured):
         client = RemoteWorkQueue(secured.url, retries=0)
@@ -239,7 +247,7 @@ class TestAuth:
         client = RemoteWorkQueue(secured.url, token="guess", retries=5)
         start = time.monotonic()
         with pytest.raises(CoordinatorAuthError):
-            client.submit(sample_payload())
+            client.submit_many([sample_payload()])
         # Auth failures must fail fast, not burn the retry budget.
         assert time.monotonic() - start < 1.0
         assert secured.queue.pending_count() == 0  # never touched the queue
@@ -252,14 +260,50 @@ class TestWireValidation:
             remote._call("teleport", {})
         assert time.monotonic() - start < 1.0
 
+    def test_per_task_routes_answer_404(self, remote):
+        """Protocol 2 is the only wire: the per-task routes it replaced
+        are unknown endpoints, rejected without a retry."""
+        for endpoint in (
+            "submit",
+            "failed",
+            "lease",
+            "results/get",
+            "results/has",
+            "results/discard",
+        ):
+            trips = remote.round_trips
+            with pytest.raises(TransportError) as excinfo:
+                remote._call(endpoint, {})
+            assert excinfo.value.status == 404
+            assert remote.round_trips == trips + 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {},
+            {"task_id": 7, "payload": {}, "lease": "lease-1"},
+            {"task_id": "t", "payload": [1, 2], "lease": "lease-1"},
+            {"task_id": "t", "payload": {}, "lease": None},
+            {"task_id": "t", "payload": {}},
+        ],
+        ids=["empty", "int-id", "list-payload", "null-lease", "no-lease"],
+    )
+    def test_malformed_claim_reply_is_a_transport_error(
+        self, monkeypatch, reply
+    ):
+        client = RemoteWorkQueue("http://127.0.0.1:9", retries=0)
+        monkeypatch.setattr(client, "_call", lambda *args, **kwargs: reply)
+        with pytest.raises(TransportError, match="malformed claim"):
+            client.claim("w1")
+
     def test_invalid_task_id_rejected(self, remote):
         with pytest.raises(TransportError, match="invalid task id"):
-            remote.is_failed("../../etc/passwd")
+            remote.poll_many(["../../etc/passwd"])
 
     def test_invalid_lease_rejected(self, remote):
         from repro.runner import Task
 
-        remote.submit(sample_payload())
+        remote.submit_many([sample_payload()])
         claimed = remote.claim()
         forged = Task(
             task_id=claimed.task_id,
@@ -269,9 +313,15 @@ class TestWireValidation:
         with pytest.raises(TransportError, match="invalid lease"):
             remote.complete(forged)
 
-    def test_submit_requires_object_payload(self, remote):
-        with pytest.raises(TransportError, match="payload"):
-            remote._call("submit", {"payload": [1, 2, 3]})
+    def test_submit_requires_object_payload(self, coordinator, remote):
+        """One non-object payload rejects the whole batch: nothing of
+        it is enqueued."""
+        with pytest.raises(TransportError, match="payloads") as excinfo:
+            remote._call(
+                "batch/submit", {"payloads": [sample_payload(), [1, 2, 3]]}
+            )
+        assert excinfo.value.status == 400
+        assert coordinator.queue.pending_count() == 0
 
 
 class TestRetries:
@@ -313,9 +363,9 @@ class TestRetries:
                 backoff=0.1,
                 timeout=2.0,
             )
-            assert client.submit(sample_payload()) == payload_key(
-                sample_payload()
-            )
+            assert client.submit_many([sample_payload()]) == [
+                payload_key(sample_payload())
+            ]
         finally:
             thread.join()
             started["server"].stop()
@@ -331,9 +381,9 @@ class TestKeepAlive:
         host, port = coordinator.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
-            body = jsonlib.dumps({"payload": sample_payload()})
+            body = jsonlib.dumps({"payloads": [sample_payload()]})
             conn.request(
-                "POST", "/api/v1/submit", body=body,
+                "POST", "/api/v1/batch/submit", body=body,
                 headers={"Content-Type": "application/json"},
             )
             first = conn.getresponse()
@@ -363,8 +413,8 @@ class TestKeepAlive:
             conn = http.client.HTTPConnection(host, port, timeout=10)
             try:
                 conn.request(
-                    "POST", "/api/v1/submit",
-                    body=jsonlib.dumps({"payload": sample_payload()}),
+                    "POST", "/api/v1/batch/submit",
+                    body=jsonlib.dumps({"payloads": [sample_payload()]}),
                     headers={"Content-Type": "application/json"},
                 )
                 response = conn.getresponse()
@@ -389,7 +439,7 @@ class TestHeartbeatResilience:
         client = RemoteWorkQueue(
             server.url, retries=0, backoff=0.01, timeout=1.0
         )
-        client.submit(sample_payload())
+        client.submit_many([sample_payload()])
         task = client.claim("steady")
         assert client.lease_ttl == 0.4  # cached; beats every 0.1s
         lease_file = queue.active_dir / f"{task.task_id}.{task.lease}.json"
