@@ -7,14 +7,15 @@
 2. evaluate that theta on the test split (quality loss + reuse trace);
 3. feed the measured reuse into the E-PUR model for energy and speedup.
 
-Execution routes through :mod:`repro.runner`: each sweep point becomes a
-:class:`~repro.runner.SweepJob` point that a
-:class:`~repro.runner.ParallelRunner` can resolve from its on-disk cache
-or hand to any execution backend — serial in-process, a local process
-pool, or the multi-host work queue (build the runner with
+Execution routes through :mod:`repro.runner`: each sweep point is a
+point of a :class:`~repro.runner.SweepJob`, evaluated as the single
+shard ``(0, 1)`` of its split or, with ``shards=N``, as ``N`` shards
+that merge exactly.  A :class:`~repro.runner.ParallelRunner` resolves
+each from its on-disk cache or hands it to any execution backend —
+serial in-process, a local process pool, or the multi-host work queue
+(build the runner with
 ``ParallelRunner(backend=make_backend("queue", ...))``).  The default
-runner is serial and uncached, so calling these functions directly
-behaves exactly like the pre-runner in-process path; every backend
+runner is serial and uncached; every backend and every shard count
 produces bitwise-identical sweeps.
 """
 
@@ -53,8 +54,8 @@ def network_sweep(
 ) -> ThresholdSweep:
     """Loss/reuse at every threshold for one network and predictor.
 
-    ``shards > 1`` splits every threshold's evaluation per-batch
-    (:class:`~repro.runner.EvalShardJob`); the merged sweep is bitwise
+    ``shards > 1`` splits every threshold's evaluation per-batch into
+    that many shards of the split; the merged sweep is bitwise
     identical to the unsharded serial path for any shard count.
     """
     runner = runner if runner is not None else _DEFAULT_RUNNER

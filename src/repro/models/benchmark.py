@@ -7,9 +7,10 @@ convention (WER *increases*, accuracy/BLEU *decrease*), and memoized
 evaluation under any :class:`~repro.core.engine.MemoizationScheme`.
 
 Evaluation is *shardable*: ``evaluate_memoized(..., shard=(i, n))``
-evaluates the ``i``-th of ``n`` deterministic partitions of the split
-and returns a partial :class:`MemoizedResult` carrying a mergeable
-:class:`~repro.metrics.accumulators.MetricAccumulator`.
+evaluates the ``i``-th of ``n`` deterministic partitions of the split,
+and the whole split is the single shard :data:`WHOLE` ``= (0, 1)``.
+Every :class:`MemoizedResult` carries a mergeable
+:class:`~repro.metrics.accumulators.MetricAccumulator`, and
 :func:`merge_shard_results` reduces the partials to the result of the
 unsharded run: no row's computation reads another row (predictor state
 is per row and decoders never couple rows), and both the quality metrics
@@ -46,6 +47,19 @@ Array = np.ndarray
 #: ``(shard_index, shard_count)`` — the i-th of n split partitions.
 Shard = Tuple[int, int]
 
+#: The whole evaluation split, as a shard.
+WHOLE: Shard = (0, 1)
+
+
+def check_shard(shard_index: int, shard_count: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= shard_index < shard_count``."""
+    if shard_count < 1:
+        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
+    if not 0 <= shard_index < shard_count:
+        raise ValueError(
+            f"shard_index must be in [0, {shard_count}), got {shard_index}"
+        )
+
 
 def shard_indices(indices: Array, shard_index: int, shard_count: int) -> Array:
     """Deterministic contiguous partition of evaluation indices.
@@ -55,12 +69,7 @@ def shard_indices(indices: Array, shard_index: int, shard_count: int) -> Array:
     exactly, and a ``shard_count`` larger than ``len(indices)`` yields
     empty trailing shards (which evaluate to empty partial results).
     """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index must be in [0, {shard_count}), got {shard_index}"
-        )
+    check_shard(shard_index, shard_count)
     return np.array_split(np.asarray(indices), shard_count)[shard_index]
 
 
@@ -88,23 +97,22 @@ def split_validation(
 
 @dataclass(frozen=True)
 class MemoizedResult:
-    """Outcome of one memoized evaluation (whole split or one shard).
+    """Outcome of one memoized evaluation of one shard of the split.
 
-    Whole-split results carry the final ``quality``/``quality_loss``.
-    Shard partials additionally carry the mergeable ``metric``
-    accumulator and the benchmark's ``base_quality`` so
-    :func:`merge_shard_results` can reduce them without a live (trained)
-    benchmark; their ``quality``/``quality_loss`` fields are the
-    *shard-local* values (informational only — corpus metrics such as
-    BLEU and WER do not average across shards).
+    Every result carries the mergeable ``metric`` accumulator and the
+    benchmark's ``base_quality``, so :func:`merge_shard_results` can
+    reduce results without a live (trained) benchmark.  For the whole
+    split (:data:`WHOLE`) ``quality``/``quality_loss`` are final; for a
+    partial shard they are *shard-local* values (informational only —
+    corpus metrics such as BLEU and WER do not average across shards).
     """
 
     quality: float
     quality_loss: float
     reuse_fraction: float
     stats: ReuseStats
-    metric: Optional[MetricAccumulator] = None
-    base_quality: Optional[float] = None
+    metric: MetricAccumulator
+    base_quality: float
 
     @property
     def reuse_percent(self) -> float:
@@ -179,11 +187,6 @@ class Benchmark(ABC):
         """Quality on the held-out split (metric per spec)."""
         return self.quality_accumulator(self.eval_indices()).finalize()
 
-    def calibration_evaluate(self) -> float:
-        """Quality on the calibration split — §3.2.1 picks thresholds
-        without touching the test set."""
-        return self.quality_accumulator(self.eval_indices(True)).finalize()
-
     def train(self, epochs: Optional[int] = None) -> TrainingLog:
         """Train to the base quality; idempotent re-training is allowed."""
         epochs = epochs if epochs is not None else self.default_epochs()
@@ -215,7 +218,7 @@ class Benchmark(ABC):
         self,
         scheme: MemoizationScheme,
         calibration: bool = False,
-        shard: Optional[Shard] = None,
+        shard: Shard = WHOLE,
     ) -> MemoizedResult:
         """Quality + reuse under a memoization scheme.
 
@@ -223,18 +226,14 @@ class Benchmark(ABC):
             scheme: the memoization configuration to evaluate under.
             calibration: evaluate on the calibration split instead of
                 the test split.
-            shard: optional ``(shard_index, shard_count)``; evaluates
-                only that deterministic partition of the split and
-                returns a partial result whose ``metric`` accumulator
-                and ``stats`` merge exactly (see
-                :func:`merge_shard_results`).  ``None`` evaluates the
-                whole split, which is identical to the single shard
-                ``(0, 1)``.
+            shard: ``(shard_index, shard_count)``; evaluates only that
+                deterministic partition of the split, whose ``metric``
+                accumulator and ``stats`` merge exactly (see
+                :func:`merge_shard_results`).  The default
+                :data:`WHOLE` is the whole split.
         """
         self.ensure_trained()
-        indices = self.eval_indices(calibration)
-        if shard is not None:
-            indices = shard_indices(indices, *shard)
+        indices = shard_indices(self.eval_indices(calibration), *shard)
         stats = ReuseStats()
         with memoized(self.model, scheme, stats):
             metric = self.quality_accumulator(indices)
@@ -250,8 +249,8 @@ class Benchmark(ABC):
             quality_loss=self.quality_loss(quality),
             reuse_fraction=stats.reuse_fraction(),
             stats=stats,
-            metric=metric if shard is not None else None,
-            base_quality=self.base_quality if shard is not None else None,
+            metric=metric,
+            base_quality=self.base_quality,
         )
 
     def sweep_fn(
@@ -280,23 +279,17 @@ def merge_shard_results(
     :meth:`Benchmark.evaluate_memoized` bitwise.
 
     Args:
-        results: partial results for every shard of one evaluation, in
-            shard order; each must carry ``metric`` and ``base_quality``.
+        results: results for every shard of one evaluation, in shard
+            order.
         higher_is_better: the benchmark's loss convention
             (:attr:`NetworkSpec.higher_is_better`).
 
     Raises:
-        ValueError: on an empty result list, a result without shard
-            fields, or inconsistent ``base_quality`` across shards.
+        ValueError: on an empty result list or inconsistent
+            ``base_quality`` across shards.
     """
     if not results:
         raise ValueError("need at least one shard result")
-    for result in results:
-        if result.metric is None or result.base_quality is None:
-            raise ValueError(
-                "shard results must carry metric and base_quality; got a "
-                "whole-split result (was the evaluation run with shard=None?)"
-            )
     base_quality = results[0].base_quality
     if any(result.base_quality != base_quality for result in results):
         raise ValueError("shards disagree on base_quality; mixed evaluations?")

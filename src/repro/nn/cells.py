@@ -141,10 +141,6 @@ class GatedCell(Module):
         w_h = np.concatenate([w[1] for w in weights], axis=0)
         return w_x, w_h
 
-    def stacked_bias(self, gates: Tuple[str, ...]) -> Array:
-        """Biases of the given gates concatenated in block order."""
-        return np.concatenate([self.gate_weights(gate)[2] for gate in gates])
-
     # -- pre-activations -----------------------------------------------------
 
     def phase_preacts(

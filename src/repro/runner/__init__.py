@@ -15,11 +15,12 @@ addressed :class:`ResultCache` and hands cache misses to a pluggable
   ``repro coordinator`` (:mod:`repro.runner.transport`), so hosts that
   share no filesystem can join a sweep.
 
-A single evaluation can additionally be sharded per-batch
-(:class:`EvalShardJob`, ``run(..., shards=N)``): shard partials carry
-mergeable metric accumulators and reduce to the whole-point result.
-Serial, parallel, queued, cached and sharded paths all produce bitwise
-identical results.
+The unit of work is one shard of one point: every point payload names
+its ``(shard_index, shard_count)``, and the whole point is shard
+``(0, 1)``.  ``run(..., shards=N)`` splits each point per-batch; every
+result carries a mergeable metric accumulator, and the shards reduce to
+the whole-point result.  Serial, parallel, queued, cached and sharded
+paths all produce bitwise identical results.
 """
 
 from repro.runner.backends import (
@@ -37,14 +38,11 @@ from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.evaluate import (
     evaluate_payload,
     evaluate_point,
-    evaluate_shard,
     evaluate_task,
 )
 from repro.runner.job import (
     CACHE_VERSION,
     DEFAULT_THETAS,
-    JOB_KINDS,
-    EvalShardJob,
     SweepJob,
     job_from_payload,
     payload_key,
@@ -82,10 +80,8 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "DEFAULT_QUEUE_DIR",
     "DEFAULT_THETAS",
-    "EvalShardJob",
     "ExecutionBackend",
     "HttpBackend",
-    "JOB_KINDS",
     "ParallelRunner",
     "ProcessBackend",
     "QueueBackend",
@@ -106,7 +102,6 @@ __all__ = [
     "read_token_file",
     "evaluate_payload",
     "evaluate_point",
-    "evaluate_shard",
     "evaluate_task",
     "job_from_payload",
     "make_backend",

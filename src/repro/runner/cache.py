@@ -1,7 +1,8 @@
 """Content-addressed on-disk result cache.
 
-Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the sha256 of a
-sweep point's canonical payload (see :meth:`SweepJob.point_key`).  The
+Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the sha256 of
+the canonical payload of one shard of one sweep point (see
+:meth:`SweepJob.point_key`; the whole point is shard ``(0, 1)``).  The
 two-character fan-out keeps directories small on large sweeps.  Writes
 are atomic (tempfile + ``os.replace``) so a crashed or concurrent run
 never leaves a half-written entry; unreadable or corrupted entries are

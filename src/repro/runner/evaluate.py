@@ -3,8 +3,8 @@
 Every execution backend — serial in-process, worker processes, queue
 workers on other hosts — funnels through :func:`evaluate_point`: rebuild
 the benchmark from the payload's ``(network, scale, seed)`` identity
-(deterministic zoo seeding, cached per process), evaluate the named
-point or shard, and return the JSON-safe result payload that the
+(deterministic zoo seeding, cached per process), evaluate the shard the
+payload names, and return the JSON-safe result payload that the
 content-addressed cache stores.  Because there is exactly one evaluation
 path, cached, serial, process-parallel, sharded and multi-host results
 can never drift apart.
@@ -26,12 +26,8 @@ from repro.runner.job import (
 def evaluate_payload(
     payload: Mapping[str, object], benchmark: Optional[Benchmark] = None
 ) -> MemoizedResult:
-    """Evaluate any point or shard payload, optionally on a live benchmark.
-
-    The payload's ``shard_index``/``shard_count`` keys (present only on
-    ``eval_shard`` payloads) select the shard; whole points evaluate the
-    full split.
-    """
+    """Evaluate the shard a point payload names, optionally on a live
+    benchmark."""
     if benchmark is None:
         benchmark = load_benchmark(
             str(payload["network"]),
@@ -39,33 +35,23 @@ def evaluate_payload(
             seed=int(payload["seed"]),
             trained=False,
         )
-    shard = None
-    if "shard_index" in payload:
-        shard = (int(payload["shard_index"]), int(payload["shard_count"]))
     return benchmark.evaluate_memoized(
         scheme_from_payload(payload),
         calibration=bool(payload["calibration"]),
-        shard=shard,
+        shard=(int(payload["shard_index"]), int(payload["shard_count"])),
     )
 
 
 def evaluate_point(payload: Mapping[str, object]) -> Dict[str, object]:
-    """Worker entry point: evaluate one point or shard from its payload.
+    """Worker entry point: evaluate one point payload's shard.
 
     A pure function of the payload — the zoo rebuilds and (lazily)
     trains the benchmark from ``(network, scale, seed)`` with fully
     seeded numpy, so any process on any host computes the same result.
-    Returns the JSON-safe result payload (what the cache stores); shard
-    payloads (``shard_index``/``shard_count`` present) yield partials
-    carrying their metric-accumulator state and ``base_quality``.
+    Returns the JSON-safe result payload (what the cache stores), which
+    carries its metric-accumulator state and ``base_quality``.
     """
     return result_to_payload(evaluate_payload(payload))
-
-
-#: Alias for readability at sharded call sites: the payload's own
-#: ``shard_index``/``shard_count`` fields select the shard, so point
-#: and shard evaluations share one dispatch path.
-evaluate_shard = evaluate_point
 
 
 def evaluate_task(payload: Mapping[str, object]) -> Dict[str, object]:
@@ -74,10 +60,11 @@ def evaluate_task(payload: Mapping[str, object]) -> Dict[str, object]:
     Queue payloads arrive from other processes — possibly other hosts
     running other code versions — so unlike the in-process paths they
     are validated first: :func:`~repro.runner.job.job_from_payload`
-    rejects unknown job kinds and payloads written under a different
-    ``CACHE_VERSION`` (evaluating those would store a result under a
-    content-address that lies about its semantics).  The raised
-    ``ValueError`` quarantines the task instead of computing garbage.
+    rejects payloads written under a different ``CACHE_VERSION`` and
+    payloads that are not in canonical form (evaluating those would
+    store a result under a content-address that lies about its
+    semantics).  The raised ``ValueError`` quarantines the task instead
+    of computing garbage.
     """
     job_from_payload(payload)
     return evaluate_point(payload)

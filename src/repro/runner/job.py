@@ -3,14 +3,12 @@
 A :class:`SweepJob` names everything needed to reproduce a threshold
 sweep from scratch in any process: the zoo network (name, scale, seed),
 the memoization-scheme knobs, the evaluation split, and the theta grid.
-Every individual ``(job, theta)`` point canonicalises to a JSON payload
-whose sha256 digest keys one :class:`~repro.runner.cache.ResultCache`
-entry, and the payload itself is what travels to worker processes.
-:class:`EvalShardJob` is the per-batch refinement: one ``(job, theta)``
-point restricted to the ``i``-th of ``n`` deterministic shards of the
-evaluation split.  Both payload kinds carry a ``kind`` discriminator so
-a shard partial and a whole-point result with otherwise identical
-parameters can never collide on a cache key.
+The unit of work is one shard of one ``(job, theta)`` point: the
+``shard_index``-th of ``shard_count`` deterministic partitions of the
+evaluation split, where the whole point is shard ``(0, 1)``.  Each unit
+canonicalises to one JSON payload whose sha256 digest keys one
+:class:`~repro.runner.cache.ResultCache` entry, and the payload itself
+is what travels to worker processes.
 
 Because benchmark training is fully seeded (numpy only), a point payload
 is a *pure* description: any process that evaluates it produces bitwise
@@ -24,12 +22,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import PREDICTOR_KINDS, MemoizationScheme
 from repro.core.stats import ReuseStats
 from repro.metrics.accumulators import accumulator_from_payload
-from repro.models.benchmark import Benchmark, MemoizedResult
+from repro.models.benchmark import (
+    WHOLE,
+    Benchmark,
+    MemoizedResult,
+    Shard,
+    check_shard,
+)
 from repro.models.specs import BENCHMARK_NAMES
 
 #: Default threshold grid; matches the x-axes of Figures 1 and 16.
@@ -46,7 +50,12 @@ DEFAULT_THETAS: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 #:
 #: v3: payloads no longer carry the BNN-kernel switch: the binary mirror
 #: has one kernel, so the field named no distinct computation.
-CACHE_VERSION = 3
+#:
+#: v4: one payload form: every payload names its shard
+#: (``shard_index``/``shard_count``, the whole point being ``(0, 1)``)
+#: and carries no ``kind``; every result carries its metric accumulator
+#: and ``base_quality``.
+CACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,12 @@ class SweepJob:
 
     @classmethod
     def from_point_payload(cls, payload: Mapping[str, object]) -> "SweepJob":
-        """Rebuild the single-theta job a ``sweep_point`` payload describes.
+        """Rebuild the single-theta job a point payload describes.
 
-        Inverse of :meth:`point_payload`:
-        ``SweepJob.from_point_payload(p).point_payload(p["theta"]) == p``.
-        Most callers want :func:`job_from_payload`, which dispatches on
-        ``kind`` and validates the payload's cache version first.
+        Inverse of :meth:`point_payload` up to the shard, which the job
+        does not hold.  Payloads from outside the process go through
+        :func:`job_from_payload`, which also rejects every payload that
+        is not exactly the canonical one.
         """
         layer_thetas = payload.get("layer_thetas")
         return cls(
@@ -171,10 +180,17 @@ class SweepJob:
 
     # -- canonical forms ----------------------------------------------------
 
-    def point_payload(self, theta: float) -> Dict[str, object]:
-        """JSON-safe canonical description of one sweep point."""
+    def point_payload(
+        self, theta: float, shard: Shard = WHOLE
+    ) -> Dict[str, object]:
+        """JSON-safe canonical description of one shard of one point.
+
+        ``shard`` is ``(shard_index, shard_count)``; the default
+        :data:`~repro.models.benchmark.WHOLE` is the whole point.
+        """
+        shard_index, shard_count = int(shard[0]), int(shard[1])
+        check_shard(shard_index, shard_count)
         return {
-            "kind": "sweep_point",
             "cache_version": CACHE_VERSION,
             "network": self.network,
             "scale": self.scale,
@@ -188,11 +204,13 @@ class SweepJob:
                 else None
             ),
             "theta": float(theta),
+            "shard_index": shard_index,
+            "shard_count": shard_count,
         }
 
-    def point_key(self, theta: float) -> str:
-        """Content-address of one sweep point (cache key)."""
-        return _digest(self.point_payload(theta))
+    def point_key(self, theta: float, shard: Shard = WHOLE) -> str:
+        """Content-address of one shard of one point (cache key)."""
+        return _digest(self.point_payload(theta, shard))
 
     def spec_hash(self) -> str:
         """Content-address of the whole job (all thetas)."""
@@ -200,115 +218,6 @@ class SweepJob:
         del payload["theta"]
         payload["thetas"] = list(self.thetas)
         return _digest(payload)
-
-
-@dataclass(frozen=True)
-class EvalShardJob:
-    """One sweep point restricted to one shard of the evaluation split.
-
-    ``(theta, shard_index, shard_count)`` refines a :class:`SweepJob`
-    point into a per-batch unit of work: the benchmark partitions its
-    split with :func:`repro.models.benchmark.shard_indices` and
-    evaluates only the ``shard_index``-th part.  Shard payloads are
-    keyed separately from whole-point payloads (``kind`` field), so
-    partial and merged results never alias in the cache.
-    """
-
-    network: str
-    theta: float
-    shard_index: int
-    shard_count: int
-    predictor: str = "bnn"
-    scale: str = "tiny"
-    seed: int = 0
-    throttle: bool = True
-    calibration: bool = False
-    layer_thetas: Optional[Tuple[Tuple[str, float], ...]] = None
-
-    def __post_init__(self):
-        if self.shard_count < 1:
-            raise ValueError(
-                f"shard_count must be >= 1, got {self.shard_count}"
-            )
-        if not 0 <= self.shard_index < self.shard_count:
-            raise ValueError(
-                f"shard_index must be in [0, {self.shard_count}), got "
-                f"{self.shard_index}"
-            )
-        # Delegate network/predictor/theta/layer_thetas validation (and
-        # canonicalisation) to SweepJob — one rule set for both specs.
-        point = self._sweep_point()
-        object.__setattr__(self, "theta", point.thetas[0])
-        object.__setattr__(self, "layer_thetas", point.layer_thetas)
-
-    def _sweep_point(self) -> SweepJob:
-        """The single-theta SweepJob this shard refines."""
-        return SweepJob(
-            network=self.network,
-            thetas=(self.theta,),
-            predictor=self.predictor,
-            scale=self.scale,
-            seed=self.seed,
-            throttle=self.throttle,
-            calibration=self.calibration,
-            layer_thetas=self.layer_thetas,
-        )
-
-    @classmethod
-    def from_sweep_point(
-        cls, job: SweepJob, theta: float, shard_index: int, shard_count: int
-    ) -> "EvalShardJob":
-        """The ``shard_index``-th of ``shard_count`` shards of one point."""
-        return cls(
-            network=job.network,
-            theta=float(theta),
-            shard_index=shard_index,
-            shard_count=shard_count,
-            predictor=job.predictor,
-            scale=job.scale,
-            seed=job.seed,
-            throttle=job.throttle,
-            calibration=job.calibration,
-            layer_thetas=job.layer_thetas,
-        )
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "EvalShardJob":
-        """Rebuild the shard job an ``eval_shard`` payload describes.
-
-        Inverse of :meth:`payload`:
-        ``EvalShardJob.from_payload(p).payload() == p``.  Most callers
-        want :func:`job_from_payload`, which dispatches on ``kind`` and
-        validates the payload's cache version first.
-        """
-        point = SweepJob.from_point_payload(payload)
-        return cls.from_sweep_point(
-            point,
-            point.thetas[0],
-            int(payload["shard_index"]),
-            int(payload["shard_count"]),
-        )
-
-    @property
-    def shard(self) -> Tuple[int, int]:
-        return (self.shard_index, self.shard_count)
-
-    def payload(self) -> Dict[str, object]:
-        """JSON-safe canonical description of this shard evaluation.
-
-        Derived from :meth:`SweepJob.point_payload` so a new scheme knob
-        is automatically part of shard cache keys too; only the ``kind``
-        and the shard coordinates differ.
-        """
-        payload = self._sweep_point().point_payload(self.theta)
-        payload["kind"] = "eval_shard"
-        payload["shard_index"] = self.shard_index
-        payload["shard_count"] = self.shard_count
-        return payload
-
-    def key(self) -> str:
-        """Content-address of this shard evaluation (cache key)."""
-        return _digest(self.payload())
 
 
 def _digest(payload: Mapping[str, object]) -> str:
@@ -319,50 +228,46 @@ def _digest(payload: Mapping[str, object]) -> str:
 def payload_key(payload: Mapping[str, object]) -> str:
     """Content-address of any job payload: its cache key and queue task id.
 
-    Matches :meth:`SweepJob.point_key` / :meth:`EvalShardJob.key` for
-    the payloads those jobs emit, so a worker that only ever sees the
-    payload still stores its result under the exact key the submitting
-    runner polls for.
+    Matches :meth:`SweepJob.point_key` for the payloads the job emits,
+    so a worker that only ever sees the payload still stores its result
+    under the exact key the submitting runner polls for.
     """
     return _digest(payload)
 
 
-#: ``kind`` discriminator values understood by :func:`job_from_payload`.
-JOB_KINDS = ("sweep_point", "eval_shard")
+def job_from_payload(payload: Mapping[str, object]) -> SweepJob:
+    """Rebuild the single-theta job a point payload describes.
 
-
-def job_from_payload(
-    payload: Mapping[str, object],
-) -> "Union[SweepJob, EvalShardJob]":
-    """Rebuild the job spec a payload describes, dispatching on ``kind``.
-
-    The inverse of :meth:`SweepJob.point_payload` /
-    :meth:`EvalShardJob.payload`: ``sweep_point`` payloads yield a
-    single-theta :class:`SweepJob`, ``eval_shard`` payloads an
-    :class:`EvalShardJob`, and round-tripping back through the job's
-    payload method reproduces the input exactly.
+    The inverse of :meth:`SweepJob.point_payload`: the payload names one
+    shard of one point, and ``job.point_payload(theta, shard)`` must
+    reproduce it exactly.  A payload that is not in that canonical form
+    (a string where a bool belongs, ``true`` for ``1``, an unknown
+    field) is rejected rather than coerced: a worker would otherwise
+    store a result under a key that names a different computation.
 
     Raises:
-        ValueError: on an unknown ``kind`` or a payload written by a
-            different :data:`CACHE_VERSION` (a worker must never
-            evaluate a spec from an incompatible code version — the
-            result would be stored under a key that lies about its
-            semantics).
+        ValueError: on a payload written by a different
+            :data:`CACHE_VERSION`, a malformed or out-of-range field, or
+            a payload that is not in canonical form.
     """
-    kind = payload.get("kind")
-    if kind not in JOB_KINDS:
-        raise ValueError(
-            f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
-        )
     version = payload.get("cache_version")
     if version != CACHE_VERSION:
         raise ValueError(
             f"payload cache_version {version!r} does not match this "
             f"code's CACHE_VERSION {CACHE_VERSION}"
         )
-    if kind == "sweep_point":
-        return SweepJob.from_point_payload(payload)
-    return EvalShardJob.from_payload(payload)
+    try:
+        job = SweepJob.from_point_payload(payload)
+        shard = (payload["shard_index"], payload["shard_count"])
+        canonical = job.point_payload(job.thetas[0], shard)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed job payload: {exc!r}") from exc
+    if payload_key(canonical) != payload_key(payload):
+        raise ValueError(
+            "job payload is not in canonical form; expected "
+            f"{json.dumps(canonical, sort_keys=True)}"
+        )
+    return job
 
 
 def scheme_from_payload(payload: Mapping[str, object]) -> MemoizationScheme:
@@ -387,11 +292,11 @@ def scheme_from_payload(payload: Mapping[str, object]) -> MemoizationScheme:
 def result_to_payload(result: MemoizedResult) -> Dict[str, object]:
     """JSON-safe form of a :class:`MemoizedResult` (lossless for floats).
 
-    Shard partials additionally serialize their metric-accumulator state
-    and ``base_quality`` so the reduce step can merge cached partials
-    without rebuilding (or training) the benchmark.
+    The metric-accumulator state and ``base_quality`` are serialized too,
+    so the reduce step can merge cached shard results without rebuilding
+    (or training) the benchmark.
     """
-    payload: Dict[str, object] = {
+    return {
         "quality": float(result.quality),
         "quality_loss": float(result.quality_loss),
         "reuse_fraction": float(result.reuse_fraction),
@@ -405,20 +310,18 @@ def result_to_payload(result: MemoizedResult) -> Dict[str, object]:
                 for (layer, gate), count in sorted(result.stats.total.items())
             ],
         },
+        "metric": result.metric.to_payload(),
+        "base_quality": float(result.base_quality),
     }
-    if result.metric is not None:
-        payload["metric"] = result.metric.to_payload()
-    if result.base_quality is not None:
-        payload["base_quality"] = float(result.base_quality)
-    return payload
 
 
 def result_from_payload(payload: Mapping[str, object]) -> MemoizedResult:
     """Inverse of :func:`result_to_payload`.
 
     Raises:
-        KeyError, TypeError, ValueError: on malformed payloads — callers
-            treat these as cache misses.
+        KeyError, TypeError, ValueError: on malformed payloads, including
+            one without ``metric`` or ``base_quality`` — callers treat
+            these as cache misses.
     """
     stats = ReuseStats()
     raw = payload["stats"]
@@ -426,8 +329,6 @@ def result_from_payload(payload: Mapping[str, object]) -> MemoizedResult:
         stats.reused[(str(layer), str(gate))] = int(count)
     for layer, gate, count in raw["total"]:
         stats.total[(str(layer), str(gate))] = int(count)
-    metric_payload = payload.get("metric")
-    base_quality = payload.get("base_quality")
     return MemoizedResult(
         # checks: allow-nonfinite result metrics are round-tripped verbatim, not threshold inputs
         quality=float(payload["quality"]),
@@ -436,12 +337,7 @@ def result_from_payload(payload: Mapping[str, object]) -> MemoizedResult:
         # checks: allow-nonfinite result metrics are round-tripped verbatim, not threshold inputs
         reuse_fraction=float(payload["reuse_fraction"]),
         stats=stats,
-        metric=(
-            accumulator_from_payload(metric_payload)
-            if metric_payload is not None
-            else None
-        ),
-        base_quality=(
-            float(base_quality) if base_quality is not None else None
-        ),
+        metric=accumulator_from_payload(payload["metric"]),
+        # checks: allow-nonfinite result metrics are round-tripped verbatim, not threshold inputs
+        base_quality=float(payload["base_quality"]),
     )

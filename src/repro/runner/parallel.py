@@ -11,14 +11,13 @@ backends evaluate through the same
 :func:`~repro.runner.evaluate.evaluate_point` path, so their results
 are bitwise identical to the serial baseline.
 
-With ``shards > 1`` a single evaluation is additionally split *within*
-the test/calibration batch: each point fans out into
-:class:`~repro.runner.job.EvalShardJob` units (one per split partition),
-partials are cached under shard-specific keys, and a reduce step merges
+The unit of work is one shard of one point.  With ``shards=1`` that is
+the whole point, shard ``(0, 1)``, whose key is the point key.  With
+``shards > 1`` each point is split *within* the test/calibration batch:
+its shards are cached under their own keys, and a reduce step merges
 them (:func:`repro.models.benchmark.merge_shard_results`) into the
-bitwise-identical whole-point result — the merged result is also stored
-under the whole-point key, so sharded and unsharded runs share the
-cache.
+bitwise-identical whole-point result, which is also stored under the
+point key, so sharded and unsharded runs share the cache.
 """
 
 from __future__ import annotations
@@ -30,20 +29,14 @@ from repro.core.calibration import ThresholdSweep
 from repro.models.benchmark import Benchmark, MemoizedResult, merge_shard_results
 from repro.models.specs import PAPER_NETWORKS
 from repro.runner.backends import ExecutionBackend, ProcessBackend, SerialBackend
-from repro.runner.evaluate import evaluate_payload, evaluate_point, evaluate_shard
-from repro.runner.job import (
-    EvalShardJob,
-    SweepJob,
-    result_from_payload,
-    result_to_payload,
-)
+from repro.runner.evaluate import evaluate_payload, evaluate_point
+from repro.runner.job import SweepJob, result_from_payload, result_to_payload
 
 __all__ = [
     "ParallelRunner",
     "RunReport",
     "evaluate_payload",
     "evaluate_point",
-    "evaluate_shard",
 ]
 
 
@@ -129,36 +122,63 @@ class ParallelRunner:
                 the job's identity.  Distributed backends ignore it —
                 their workers always rebuild from the spec.
             shards: split each point's evaluation batch into this many
-                :class:`EvalShardJob` units (``1`` keeps the whole-point
-                path).  Results are bitwise identical for any value.
+                shards (``1`` evaluates each point as its single shard).
+                Results are bitwise identical for any value.
+
+        Cache protocol: a point resolved from its point key is a single
+        hit.  Otherwise each of its shards resolves or evaluates under
+        its own key (counted individually in the report), and with
+        ``shards > 1`` the merged result is written back under the
+        point key.  With ``shards=1`` the shard key *is* the point key.
         """
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if benchmark is not None:
             self._check_benchmark(job, benchmark)
-        if shards > 1:
-            return self._run_sharded(job, shards, benchmark)
-        payloads = [job.point_payload(theta) for theta in job.thetas]
-        keys = [job.point_key(theta) for theta in job.thetas]
-        results: List[Optional[MemoizedResult]] = [None] * len(keys)
+        results: List[Optional[MemoizedResult]] = [None] * len(job.thetas)
+        partials: Dict[int, List[Optional[MemoizedResult]]] = {}
+        pending: List[Tuple[int, int]] = []
+        hits = 0
 
-        missing: List[int] = []
-        for i, key in enumerate(keys):
-            if self.cache is not None:
-                results[i] = self._cached_result(key)
-            if results[i] is None:
-                missing.append(i)
+        for t, theta in enumerate(job.thetas):
+            results[t] = self._cached_result(job.point_key(theta))
+            if results[t] is not None:
+                hits += 1
+                continue
+            slots: List[Optional[MemoizedResult]] = [None] * shards
+            for s in range(shards):
+                if shards > 1:
+                    slots[s] = self._cached_result(
+                        job.point_key(theta, (s, shards))
+                    )
+                if slots[s] is None:
+                    pending.append((t, s))
+                else:
+                    hits += 1
+            partials[t] = slots
 
-        if missing:
+        if pending:
             outputs = self.backend.execute(
-                [payloads[i] for i in missing], benchmark=benchmark
+                [job.point_payload(job.thetas[t], (s, shards)) for t, s in pending],
+                benchmark=benchmark,
             )
-            for i, output in zip(missing, outputs):
-                results[i] = result_from_payload(output)
+            for (t, s), output in zip(pending, outputs):
+                partials[t][s] = result_from_payload(output)
                 if self.cache is not None:
-                    self.cache.put(keys[i], output)
+                    self.cache.put(job.point_key(job.thetas[t], (s, shards)), output)
 
-        self._account(hits=len(keys) - len(missing), misses=len(missing))
+        higher_is_better = PAPER_NETWORKS[job.network].higher_is_better
+        for t, slots in partials.items():
+            if shards == 1:
+                results[t] = slots[0]
+                continue
+            results[t] = merge_shard_results(slots, higher_is_better)
+            if self.cache is not None:
+                self.cache.put(
+                    job.point_key(job.thetas[t]), result_to_payload(results[t])
+                )
+
+        self._account(hits=hits, misses=len(pending))
         return [result for result in results if result is not None]
 
     def sweep(
@@ -176,67 +196,6 @@ class ParallelRunner:
 
     # -- internals ----------------------------------------------------------
 
-    def _run_sharded(
-        self, job: SweepJob, shards: int, benchmark: Optional[Benchmark]
-    ) -> List[MemoizedResult]:
-        """Fan each point out per-batch and reduce the shard partials.
-
-        Cache protocol: a point resolved from its *whole-point* key is a
-        single hit; otherwise each shard resolves or evaluates under its
-        own key (counted individually in the report) and the merged
-        result is written back under the whole-point key, making the
-        sharded and unsharded cache populations interchangeable.
-        """
-        results: List[Optional[MemoizedResult]] = [None] * len(job.thetas)
-        shard_slots: Dict[int, List[Optional[MemoizedResult]]] = {}
-        pending: List[Tuple[int, int, EvalShardJob]] = []
-        hits = 0
-
-        for t, theta in enumerate(job.thetas):
-            if self.cache is not None:
-                results[t] = self._cached_result(job.point_key(theta))
-                if results[t] is not None:
-                    hits += 1
-                    continue
-            slots: List[Optional[MemoizedResult]] = [None] * shards
-            for s in range(shards):
-                shard_job = EvalShardJob.from_sweep_point(job, theta, s, shards)
-                if self.cache is not None:
-                    partial = self._cached_result(shard_job.key())
-                    # A usable partial must carry the shard-only fields.
-                    if partial is not None and (
-                        partial.metric is None or partial.base_quality is None
-                    ):
-                        partial = None
-                    slots[s] = partial
-                if slots[s] is None:
-                    pending.append((t, s, shard_job))
-                else:
-                    hits += 1
-            shard_slots[t] = slots
-
-        if pending:
-            outputs = self.backend.execute(
-                [shard_job.payload() for _, _, shard_job in pending],
-                benchmark=benchmark,
-            )
-            for (t, s, shard_job), output in zip(pending, outputs):
-                shard_slots[t][s] = result_from_payload(output)
-                if self.cache is not None:
-                    self.cache.put(shard_job.key(), output)
-
-        higher_is_better = PAPER_NETWORKS[job.network].higher_is_better
-        for t, slots in shard_slots.items():
-            merged = merge_shard_results(slots, higher_is_better)
-            results[t] = merged
-            if self.cache is not None:
-                self.cache.put(
-                    job.point_key(job.thetas[t]), result_to_payload(merged)
-                )
-
-        self._account(hits=hits, misses=len(pending))
-        return [result for result in results if result is not None]
-
     def _account(self, hits: int, misses: int) -> None:
         self.last_report = RunReport(
             hits=hits,
@@ -249,7 +208,7 @@ class ParallelRunner:
 
     def _cached_result(self, key: str) -> Optional[MemoizedResult]:
         """Cache lookup that treats stale/corrupt payloads as misses."""
-        cached = self.cache.get(key)
+        cached = self.cache.get(key) if self.cache is not None else None
         if cached is None:
             return None
         try:

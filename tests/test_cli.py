@@ -275,8 +275,8 @@ class TestQueueBackendCLI:
         assert queue.active_count() == 0
 
     def test_worker_quarantines_foreign_payloads(self, capsys, tmp_path):
-        """Unknown kinds / foreign CACHE_VERSIONs are quarantined in
-        failed/, never evaluated and never crash-looped."""
+        """Foreign CACHE_VERSIONs and non-canonical payloads are
+        quarantined in failed/, never evaluated and never crash-looped."""
         queue = WorkQueue(tmp_path / "queue")
         job = SweepJob(network="imdb", thetas=(0.1,))
         good_id = payload_key(job.point_payload(0.1))
@@ -296,7 +296,7 @@ class TestQueueBackendCLI:
         captured = capsys.readouterr()
         assert "drained 1 task(s)" in captured.out
         assert "1 task(s) quarantined in failed/" in captured.out
-        assert "unknown job kind" in captured.err  # traceback surfaced
+        assert "cache_version" in captured.err  # traceback surfaced
         assert queue.results.get(good_id) is not None
         assert queue.failed_count() == 1
         assert queue.pending_count() == 0

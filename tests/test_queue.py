@@ -481,17 +481,14 @@ class TestCrashRecovery:
         assert queue.active_count() == 0
 
     def test_sharded_sweep_recovers_a_dead_shard(self, tmp_path):
-        from repro.runner import EvalShardJob
-
         job = SweepJob(network="imdb", thetas=(0.2,))
         baseline = ParallelRunner().run(job, shards=3)
 
         queue = WorkQueue(tmp_path, lease_ttl=60)
-        shard_job = EvalShardJob.from_sweep_point(job, 0.2, 1, 3)
-        queue.submit(shard_job.payload())
+        queue.submit(job.point_payload(0.2, (1, 3)))
         doomed = queue.claim("doomed-worker")
         assert doomed is not None
-        assert doomed.task_id == shard_job.key()
+        assert doomed.task_id == job.point_key(0.2, (1, 3))
         expire_lease(doomed)
 
         runner = ParallelRunner(backend=QueueBackend(queue, timeout=600))

@@ -1,10 +1,10 @@
 """Tests for the sweep execution subsystem (repro.runner).
 
-Covers job hashing/serialization, cache hit/miss semantics, cache
-invalidation on config change (including CACHE_VERSION staleness and
-sweep-point vs eval-shard key separation), corrupted-cache recovery,
-and bitwise determinism of the parallel and sharded paths against the
-serial baseline.
+Covers job hashing/serialization, canonical-payload validation, cache
+hit/miss semantics, cache invalidation on config change (including
+CACHE_VERSION staleness and per-shard key separation), corrupted-cache
+recovery, and bitwise determinism of the parallel and sharded paths
+against the serial baseline.
 """
 
 import json
@@ -20,10 +20,12 @@ from repro.models.benchmark import MemoizedResult
 from repro.models.zoo import load_benchmark
 from repro.runner import (
     CACHE_VERSION,
-    EvalShardJob,
     ParallelRunner,
     ResultCache,
     SweepJob,
+    WorkQueue,
+    drain,
+    evaluate_task,
     job_from_payload,
     payload_key,
     result_from_payload,
@@ -40,10 +42,9 @@ def make_job(**overrides) -> SweepJob:
     return SweepJob(**kwargs)
 
 
-def make_shard_job(**overrides) -> EvalShardJob:
-    kwargs = dict(network="imdb", theta=0.2, shard_index=0, shard_count=2)
-    kwargs.update(overrides)
-    return EvalShardJob(**kwargs)
+def shard_payload(shard=(0, 2), **overrides) -> dict:
+    """Payload of one shard of the theta=0.2 point of ``make_job``."""
+    return make_job(**overrides).point_payload(0.2, shard)
 
 
 def results_equal(a: MemoizedResult, b: MemoizedResult) -> bool:
@@ -148,49 +149,61 @@ class TestSweepJob:
 
 
 class TestEvalShardJob:
-    def test_from_sweep_point_copies_config(self):
-        job = make_job(predictor="oracle", throttle=False, calibration=True)
-        shard = EvalShardJob.from_sweep_point(job, 0.2, 1, 4)
-        assert shard.network == job.network
-        assert shard.predictor == "oracle"
-        assert not shard.throttle
-        assert shard.calibration
-        assert shard.theta == 0.2
-        assert shard.shard == (1, 4)
+    """An evaluation shard: one point's payload and key restricted to
+    shard ``(i, n)`` of the split (``point_payload(theta, shard=...)``)."""
 
     def test_invalid_shard_rejected(self):
+        job = make_job()
         with pytest.raises(ValueError, match="shard_count"):
-            make_shard_job(shard_count=0)
+            job.point_payload(0.2, (0, 0))
         with pytest.raises(ValueError, match="shard_index"):
-            make_shard_job(shard_index=2, shard_count=2)
+            job.point_key(0.2, (2, 2))
         with pytest.raises(ValueError, match="shard_index"):
-            make_shard_job(shard_index=-1)
-
-    def test_invalid_network_and_theta_rejected(self):
-        with pytest.raises(ValueError, match="network"):
-            make_shard_job(network="resnet")
-        with pytest.raises(ValueError, match="non-negative"):
-            make_shard_job(theta=-0.1)
+            job.point_payload(0.2, (-1, 2))
 
     def test_payload_is_json_serializable(self):
-        payload = make_shard_job(layer_thetas=(("lstm", 0.1),)).payload()
+        payload = shard_payload(layer_thetas=(("lstm", 0.1),))
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["kind"] == "eval_shard"
+        assert (payload["shard_index"], payload["shard_count"]) == (0, 2)
         assert payload["cache_version"] == CACHE_VERSION
 
     def test_key_depends_on_shard(self):
-        assert make_shard_job().key() != make_shard_job(shard_index=1).key()
-        assert make_shard_job().key() != make_shard_job(shard_count=3).key()
+        job = make_job()
+        assert job.point_key(0.2, (0, 2)) != job.point_key(0.2, (1, 2))
+        assert job.point_key(0.2, (0, 2)) != job.point_key(0.2, (0, 3))
 
     def test_scheme_roundtrip_through_payload(self):
-        shard = make_shard_job(predictor="oracle", throttle=False)
-        assert scheme_from_payload(shard.payload()) == MemoizationScheme(
+        payload = shard_payload(predictor="oracle", throttle=False)
+        assert scheme_from_payload(payload) == MemoizationScheme(
             theta=0.2, predictor="oracle", throttle=False
         )
 
 
+#: Payloads that must never be evaluated, as (changed fields, dropped
+#: fields) applied to the canonical shard-(1, 3) payload: coercing any
+#: of them would evaluate a different computation than the one its
+#: content-address names.
+NON_CANONICAL = {
+    "calibration-string": ({"calibration": "false"}, ()),
+    "throttle-string": ({"throttle": "no"}, ()),
+    "seed-float": ({"seed": 1.5}, ()),
+    "seed-bool": ({"seed": True}, ()),
+    "theta-string": ({"theta": "0.2"}, ()),
+    "unknown-field": ({"priority": "high"}, ()),
+    "shard-index-bool": ({"shard_index": True}, ()),
+    "shard-count-float": ({"shard_count": 3.0}, ()),
+    "leftover-kind": ({"kind": "eval_shard"}, ()),
+    "no-shard-fields": ({}, ("shard_index", "shard_count")),
+    "v3-shaped": (
+        {"kind": "sweep_point", "cache_version": 3},
+        ("shard_index", "shard_count"),
+    ),
+}
+
+
 class TestJobPayloadRoundTrip:
-    """Every job kind survives payload serialization exactly."""
+    """Every shard payload survives serialization exactly, and only the
+    canonical form of a payload is accepted."""
 
     def test_sweep_point_roundtrip(self):
         job = make_job(
@@ -206,35 +219,28 @@ class TestJobPayloadRoundTrip:
         assert rebuilt.point_payload(0.2) == payload  # idempotent
 
     def test_eval_shard_roundtrip(self):
-        shard = make_shard_job(
-            predictor="oracle",
-            shard_index=1,
-            shard_count=3,
-            layer_thetas=(("lstm", 0.1),),
-        )
-        payload = shard.payload()
+        job = make_job(predictor="oracle", layer_thetas=(("lstm", 0.1),))
+        payload = job.point_payload(0.2, (1, 3))
         rebuilt = job_from_payload(json.loads(json.dumps(payload)))
-        assert isinstance(rebuilt, EvalShardJob)
-        assert rebuilt == shard
-        assert rebuilt.payload() == payload  # idempotent
+        assert isinstance(rebuilt, SweepJob)
+        assert rebuilt == job.for_theta(0.2)
+        assert rebuilt.point_payload(0.2, (1, 3)) == payload  # idempotent
 
-    def test_kind_discriminator_preserved(self):
-        point = job_from_payload(make_job().point_payload(0.2))
-        assert point.point_payload(0.2)["kind"] == "sweep_point"
-        shard = job_from_payload(make_shard_job().payload())
-        assert shard.payload()["kind"] == "eval_shard"
-
-    def test_unknown_kind_is_a_clear_valueerror(self):
-        payload = make_job().point_payload(0.2)
-        payload["kind"] = "teleport"
-        with pytest.raises(ValueError, match="unknown job kind 'teleport'"):
+    @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
+    def test_non_canonical_payload_rejected(self, case, tmp_path):
+        changed, dropped = NON_CANONICAL[case]
+        payload = shard_payload(shard=(1, 3)) | changed
+        for field in dropped:
+            del payload[field]
+        with pytest.raises(ValueError):
             job_from_payload(payload)
-
-    def test_missing_kind_is_a_clear_valueerror(self):
-        payload = make_job().point_payload(0.2)
-        del payload["kind"]
-        with pytest.raises(ValueError, match="unknown job kind"):
-            job_from_payload(payload)
+        # A worker quarantines it instead of storing a mislabelled result.
+        queue = WorkQueue(tmp_path)
+        task_id = queue.submit(payload)
+        assert drain(queue, evaluate_task, idle_timeout=0) == 0
+        assert queue.failed_count() == 1
+        assert "ValueError" in queue.failed_error(task_id)
+        assert queue.results.get(task_id) is None
 
     def test_foreign_cache_version_rejected(self):
         payload = make_job().point_payload(0.2)
@@ -245,40 +251,40 @@ class TestJobPayloadRoundTrip:
     def test_payload_key_matches_job_keys(self):
         job = make_job()
         assert payload_key(job.point_payload(0.2)) == job.point_key(0.2)
-        shard = make_shard_job()
-        assert payload_key(shard.payload()) == shard.key()
+        assert payload_key(shard_payload()) == job.point_key(0.2, (0, 2))
 
 
 class TestCacheKeyCollisions:
-    """A shard partial and a whole point with identical parameters must
-    never share a cache key, and entries written by a different
-    CACHE_VERSION must be invisible."""
+    """The whole point is its single shard, partial shards never share a
+    key with each other or with a whole point, and entries written by a
+    different CACHE_VERSION must be invisible."""
 
-    def test_shard_and_point_keys_differ_for_identical_parameters(self):
+    def test_point_key_equals_its_whole_shard_key(self):
         job = make_job()
-        # Even the degenerate 1-shard job (same evaluated rows as the
-        # whole point) must key separately: its payload schema differs.
-        shard = EvalShardJob.from_sweep_point(job, 0.2, 0, 1)
-        assert shard.key() != job.point_key(0.2)
+        assert job.point_key(0.2) == job.point_key(0.2, (0, 1))
+        assert job.point_payload(0.2) == job.point_payload(0.2, (0, 1))
 
     def test_all_shard_keys_distinct_from_all_point_keys(self):
+        """Keys of partial shards (n > 1) are distinct from each other
+        and from every point key."""
         job = make_job()
         point_keys = {job.point_key(theta) for theta in job.thetas}
         shard_keys = {
-            EvalShardJob.from_sweep_point(job, theta, i, n).key()
+            job.point_key(theta, (i, n))
             for theta in job.thetas
-            for n in (1, 2, 4)
+            for n in (2, 4)
             for i in range(n)
         }
         assert not (point_keys & shard_keys)
-        assert len(shard_keys) == len(job.thetas) * (1 + 2 + 4)
+        assert len(shard_keys) == len(job.thetas) * (2 + 4)
 
     def test_point_key_changes_with_cache_version(self, monkeypatch):
-        before = make_job().point_key(0.2)
-        shard_before = make_shard_job().key()
+        job = make_job()
+        before = job.point_key(0.2)
+        shard_before = job.point_key(0.2, (0, 2))
         monkeypatch.setattr(job_module, "CACHE_VERSION", CACHE_VERSION + 1)
-        assert make_job().point_key(0.2) != before
-        assert make_shard_job().key() != shard_before
+        assert job.point_key(0.2) != before
+        assert job.point_key(0.2, (0, 2)) != shard_before
 
     def test_stale_cache_version_entries_ignored(self, tmp_path, monkeypatch):
         """Entries persisted under an older CACHE_VERSION are never read."""
@@ -301,7 +307,12 @@ class TestResultPayload:
         stats.reused[("lstm", "i")] = 3
         stats.total[("lstm", "i")] = 10
         result = MemoizedResult(
-            quality=0.875, quality_loss=1.25, reuse_fraction=0.3, stats=stats
+            quality=0.875,
+            quality_loss=1.25,
+            reuse_fraction=0.3,
+            stats=stats,
+            metric=AccuracyAccumulator(hits=7, total=8),
+            base_quality=2.125,
         )
         restored = result_from_payload(result_to_payload(result))
         assert results_equal(result, restored)
@@ -328,16 +339,6 @@ class TestResultPayload:
         assert results_equal(result, restored)
         assert restored.metric == metric
         assert restored.base_quality == 78.0
-
-    def test_whole_point_payload_has_no_shard_fields(self):
-        result = MemoizedResult(
-            quality=1.0, quality_loss=0.0, reuse_fraction=0.0, stats=ReuseStats()
-        )
-        payload = result_to_payload(result)
-        assert "metric" not in payload
-        assert "base_quality" not in payload
-        restored = result_from_payload(payload)
-        assert restored.metric is None and restored.base_quality is None
 
 
 class TestResultCache:
@@ -460,6 +461,28 @@ class TestRunnerCacheSemantics:
         for a, b in zip(first, second):
             assert results_equal(a, b)
 
+    @pytest.mark.parametrize("field", ["metric", "base_quality"])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_result_without_merge_fields_is_a_miss(self, tmp_path, field, shards):
+        """A cached result lacking its accumulator or base quality is
+        malformed: the runner re-evaluates that shard and rewrites it."""
+        job = make_job(thetas=(0.2,))
+        cache = ResultCache(tmp_path)
+        first = ParallelRunner(jobs=1, cache=cache).run(job, shards=shards)
+        stripped_key = job.point_key(0.2, (shards - 1, shards))
+        if shards > 1:
+            cache.discard(job.point_key(0.2))
+        stripped = cache.get(stripped_key)
+        del stripped[field]
+        cache.put(stripped_key, stripped)
+        again = ParallelRunner(jobs=1, cache=cache)
+        second = again.run(job, shards=shards)
+        assert again.last_report.hits == shards - 1
+        assert again.last_report.misses == 1
+        assert field in cache.get(stripped_key)
+        for a, b in zip(first, second):
+            assert results_equal(a, b)
+
     def test_mismatched_benchmark_rejected(self):
         runner = ParallelRunner(jobs=1)
         bench = load_benchmark("imdb", scale="tiny", trained=False)
@@ -570,8 +593,7 @@ class TestShardedRunner:
         first = cold.run(job, shards=3)
         # Drop the whole-point entry and one shard partial.
         cache.path_for(job.point_key(0.2)).unlink()
-        shard_key = EvalShardJob.from_sweep_point(job, 0.2, 1, 3).key()
-        cache.path_for(shard_key).unlink()
+        cache.path_for(job.point_key(0.2, (1, 3))).unlink()
         again = ParallelRunner(jobs=1, cache=cache)
         second = again.run(job, shards=3)
         assert again.last_report.hits == 2

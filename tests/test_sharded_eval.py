@@ -145,12 +145,6 @@ class TestMergeShardResults:
         with pytest.raises(ValueError, match="at least one"):
             merge_shard_results([], True)
 
-    def test_whole_split_result_rejected(self):
-        benchmark = load_benchmark("imdb", scale="tiny")
-        whole = benchmark.evaluate_memoized(MemoizationScheme(theta=0.2))
-        with pytest.raises(ValueError, match="shard"):
-            merge_shard_results([whole], True)
-
     def test_inconsistent_base_quality_rejected(self):
         benchmark = load_benchmark("imdb", scale="tiny")
         scheme = MemoizationScheme(theta=0.2)
