@@ -1,11 +1,11 @@
 """Cost of the engine profiling fences — proven ~zero when disabled.
 
 The memoized hot path (:class:`~repro.core.layers.MemoizedRecurrentLayer`)
-pays for observability one module-attribute read per ``step`` and per
-``on_gates`` call — ``repro.obs.profiler.ACTIVE`` — plus one ``None``
-check per timing fence; when no profiler is installed every fence is
-skipped.  This bench pins that claim with three variants per Table 1
-network:
+pays for observability one module-attribute read per ``forward``, per
+``step`` and per ``on_gates`` call — ``repro.obs.profiler.ACTIVE`` —
+plus one ``None`` check per timing fence; when no profiler is installed
+every fence is skipped.  This bench pins that claim with three variants
+per Table 1 network:
 
 - ``baseline``: fence-free copies of ``step``/``on_gates`` monkeypatched
   onto the wrapper — the same phase body with the profiler reads and
@@ -74,8 +74,10 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 # repro.core.layers: the bitwise check below catches a body that drifts.
 
 
-def _step_hookfree(self, x_t, state):
-    return self.layer.step(x_t, state, hook=self)
+def _step_hookfree(self, x_t, state, xw=None):
+    if xw is None:
+        xw = self.cell.project_inputs(x_t)
+    return self.cell.step_hooked(x_t, xw, state, hook=self)
 
 
 def _on_gates_hookfree(self, cell, phase, x, h, preacts):
@@ -228,6 +230,7 @@ def obs_report():
                     for layer in layers.values()
                     for phase in layer["phases"].values()
                 ),
+                "project_s": sum(layer["project_s"] for layer in layers.values()),
                 "table_allocations": len(run.profile.get("table_allocations", [])),
             }
         networks[name] = entry

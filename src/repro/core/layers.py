@@ -9,11 +9,14 @@ hook decides reuse for all gates and neurons at once, substitutes
 memoized values, and records the decisions into a
 :class:`~repro.core.stats.ReuseStats`.
 
-Each phase has one predictor built from the stacked gate weights, one
-packed sign evaluation and one :class:`~repro.core.memo.MemoTable`
-update per timestep.  An installed :class:`~repro.obs.profiler.Profiler`
-only adds timing fences around the predictor and the substitution, so
-profiling cannot change a result bit.
+A forward projects the whole input sequence once
+(:meth:`~repro.nn.cells.GatedCell.project_inputs`), exactly as the plain
+layer's forward does, then steps.  Each phase has one predictor built
+from views of the stacked gate weights, one packed sign evaluation and
+one :class:`~repro.core.memo.MemoTable` update per timestep.  An
+installed :class:`~repro.obs.profiler.Profiler` only adds timing fences
+around the projection, each step, the predictor and the substitution,
+so profiling cannot change a result bit.
 
 Because every cell is a :class:`~repro.nn.cells.GatedCell`, nothing here
 special-cases LSTM vs GRU vs vanilla RNN — the phase decomposition
@@ -24,7 +27,7 @@ candidate gate's reset-gated operand.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -84,14 +87,20 @@ class MemoizedRecurrentLayer:
             table.begin_sequence(batch)
         return self.layer.start_state(batch)
 
-    def step(self, x_t: Array, state):
-        """One memoized timestep; returns ``(h_t, new_state)``."""
+    def step(self, x_t: Array, state, xw: Optional[Array] = None):
+        """One memoized timestep; returns ``(h_t, new_state)``.
+
+        ``xw`` is the row's input projection when the caller hoisted it
+        (:meth:`forward` does); otherwise the one row is projected here.
+        """
         profiler = _profiler.ACTIVE
-        if profiler is None:
-            return self.layer.step(x_t, state, hook=self)
-        start = perf_counter()
-        result = self.layer.step(x_t, state, hook=self)
-        profiler.record_step(self.name, perf_counter() - start)
+        if profiler is not None:
+            start = perf_counter()
+        if xw is None:
+            xw = self.cell.project_inputs(x_t)
+        result = self.cell.step_hooked(x_t, xw, state, hook=self)
+        if profiler is not None:
+            profiler.record_step(self.name, perf_counter() - start)
         return result
 
     # -- MemoHook ------------------------------------------------------------
@@ -144,10 +153,16 @@ class MemoizedRecurrentLayer:
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, E) input, got shape {x.shape}")
         batch, steps, _ = x.shape
+        profiler = _profiler.ACTIVE
+        if profiler is not None:
+            start = perf_counter()
+        xw = self.cell.project_inputs(x)
+        if profiler is not None:
+            profiler.record_projection(self.name, perf_counter() - start)
         state = self.start_state(batch)
         outputs = np.empty((batch, steps, self.hidden_size))
         for t in range(steps):
-            h, state = self.step(x[:, t, :], state)
+            h, state = self.step(x[:, t, :], state, xw[:, t, :])
             outputs[:, t, :] = h
         return outputs
 

@@ -10,35 +10,36 @@ that structure explicit:
 - ``GATES`` — the cell's gate order, exported so memo buffers, reuse
   traces and stats never hard-code ``("i", "f", "g", "o")``;
 - ``PHASES`` — the phase decomposition, each a :class:`GatePhase`;
+- stacked parameters ``w_x`` ``(G*H, E)``, ``w_h`` ``(G*H, H)`` and
+  ``b`` ``(G*H,)``, one ``H``-row block per gate in ``GATES`` order
+  (PyTorch's ``weight_ih``/``weight_hh`` layout);
+- :meth:`GatedCell.project_inputs` — the input half ``x @ W_x.T`` of
+  every gate, one GEMM over all rows it is given (a layer's forward
+  hands it the whole ``(B, T, E)`` sequence);
 - :meth:`GatedCell.phase_preacts` — all pre-activations of a phase as
-  one contiguous ``(B, G*H)`` matrix (gate blocks in ``GATES`` order);
+  one contiguous ``(B, G*H)`` matrix: one recurrent GEMM plus the
+  phase's columns of the projected input row;
 - ``step_hooked`` (implemented per cell) — a timestep that offers each
   phase's pre-activation matrix to a single :class:`MemoHook` before
   applying biases and activations.
 
-``MemoHook`` replaces the old per-gate ``gate_preacts`` callback dicts:
-the memoization engine sees whole batched gate matrices, decides reuse
-for every gate and neuron at once, and hands back the (possibly
-substituted) matrix.  Cells stay memoization-agnostic and the engine
-stays cell-agnostic.
+``MemoHook`` is the memoization seam: the engine sees whole batched gate
+matrices, decides reuse for every gate and neuron at once, and hands
+back the (possibly substituted) matrix.  Cells stay memoization-agnostic
+and the engine stays cell-agnostic.
 
-Bitwise note: the per-gate full-precision GEMMs are *kept separate*
-inside :meth:`phase_preacts` (written into block views of the stacked
-buffer).  BLAS may change its reduction blocking, and with it the
-rounding of every element, with a GEMM's shape.  Fusing the gates into a
-single GEMM over vertically stacked weights changes the output width and
-is **not** bitwise-stable for inner dimensions >= ~48.  The row count
-matters too: with numpy 2.4.6 and OpenBLAS 0.3.31 a row computed alone
-differs in its last bits from the same row inside any GEMM of two or
-more rows, so hoisting the input GEMM out of the time loop (batch x
-steps rows instead of batch) would not be bitwise either.  The invariant
-the tests pin is therefore per batch: for the same input batch, every
-engine path issues GEMMs of the same shapes and returns bitwise-equal
-floats.  Across batch compositions (shards, served or coalesced rows)
-they compare the discrete outputs and reuse counts, not the floats.
-:meth:`stacked_gate_weights` exists for the *predictor* side only (BNN
-sign mirrors, operand-similarity), where arithmetic is exact (integer
-popcounts / elementwise ops).
+Bitwise note: BLAS may change its reduction blocking, and with it the
+rounding of every element, with a GEMM's shape.  Every forward over one
+batch — the plain forward (training's and ``Benchmark.evaluate``'s), the
+memoized forward, the θ=0 oracle and the tests' reference hook —
+projects the same ``(B*T, E)`` input in one GEMM and then issues the
+same recurrent GEMM per phase and timestep, so those forwards agree
+bitwise.  Stepping a layer one timestep at a time projects ``B`` rows
+instead of ``B*T``, so it agrees with the forward to float tolerance,
+not bitwise; likewise a row's floats depend on the batch it rides in.
+Paths that cross batch compositions (shards, served or coalesced rows,
+streaming sessions) therefore compare discrete outputs and reuse
+counts, not floats.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from typing import ClassVar, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.initializers import orthogonal, xavier_uniform, zeros
+from repro.nn.module import Module, Parameter
 
 Array = np.ndarray
 
@@ -97,10 +99,10 @@ class MemoHook(Protocol):
 class GatedCell(Module):
     """Base class for recurrent cells built from named gates.
 
-    Subclasses declare ``GATES``/``PHASES`` and store their parameters
-    under the ``w_{gate}x`` / ``w_{gate}h`` / ``b_{gate}`` naming
-    convention; this base then provides uniform weight access and the
-    stacked pre-activation helper used by ``step_hooked``.
+    Subclasses declare ``GATES``/``PHASES``, set ``input_size`` and
+    ``hidden_size`` and call :meth:`_init_gate_weights`; this base then
+    provides per-gate and per-phase views of the stacked weights, the
+    input projection and the phase pre-activation used by every timestep.
     """
 
     #: Gate evaluation order (block order of stacked buffers and traces).
@@ -111,76 +113,92 @@ class GatedCell(Module):
     input_size: int
     hidden_size: int
 
+    def _init_gate_weights(self, rng: np.random.Generator) -> None:
+        """Register the stacked ``w_x``, ``w_h`` and ``b`` parameters.
+
+        Per gate, in ``GATES`` order: a Xavier-uniform ``W_x`` block, then
+        an orthogonal ``W_h`` block, drawn from ``rng`` in that order;
+        biases start at zero.
+        """
+        hidden = self.hidden_size
+        blocks_x, blocks_h = [], []
+        for _ in self.GATES:
+            blocks_x.append(xavier_uniform((hidden, self.input_size), rng))
+            blocks_h.append(orthogonal((hidden, hidden), rng))
+        self.w_x = Parameter(np.concatenate(blocks_x))
+        self.w_h = Parameter(np.concatenate(blocks_h))
+        self.b = Parameter(zeros((len(self.GATES) * hidden,)))
+
     # -- weight access -------------------------------------------------------
 
-    def gate_weights(self, gate: str) -> Tuple[Array, Array, Array]:
-        """Return ``(W_x, W_h, b)`` for ``gate`` in ``GATES``."""
-        if gate not in self.GATES:
+    def gate_rows(self, gates: Tuple[str, ...]) -> slice:
+        """Rows of the stacked parameters holding ``gates``.
+
+        ``gates`` must be consecutive in ``GATES`` order (every phase is).
+        """
+        gates = tuple(gates)
+        start = self.GATES.index(gates[0]) if gates and gates[0] in self.GATES else None
+        if start is None or self.GATES[start : start + len(gates)] != gates:
             raise KeyError(
-                f"unknown {type(self).__name__} gate {gate!r}"
+                f"{gates!r} is not a run of {type(self).__name__} gates {self.GATES!r}"
             )
-        return (
-            getattr(self, f"w_{gate}x").value,
-            getattr(self, f"w_{gate}h").value,
-            getattr(self, f"b_{gate}").value,
-        )
+        hidden = self.hidden_size
+        return slice(start * hidden, (start + len(gates)) * hidden)
+
+    def gate_weights(self, gate: str) -> Tuple[Array, Array, Array]:
+        """``(W_x, W_h, b)`` of ``gate``: row-block views, not copies."""
+        rows = self.gate_rows((gate,))
+        return self.w_x.value[rows], self.w_h.value[rows], self.b.value[rows]
 
     @property
     def gate_names(self) -> Tuple[str, ...]:
         return self.GATES
 
     def stacked_gate_weights(self, gates: Tuple[str, ...]) -> Tuple[Array, Array]:
-        """``(W_x, W_h)`` of the given gates stacked along the neuron axis.
+        """``(W_x, W_h)`` of a run of gates: row-block views, not copies.
 
-        Used to build phase-level predictors (one BNN mirror / operand
-        tracker covering every gate of the phase).  Not used for the
-        full-precision GEMMs — see the module docstring's bitwise note.
+        Phase-level predictors (one BNN mirror covering every gate of the
+        phase) are built from these.
         """
-        weights = [self.gate_weights(gate) for gate in gates]
-        w_x = np.concatenate([w[0] for w in weights], axis=0)
-        w_h = np.concatenate([w[1] for w in weights], axis=0)
-        return w_x, w_h
+        rows = self.gate_rows(gates)
+        return self.w_x.value[rows], self.w_h.value[rows]
 
     # -- pre-activations -----------------------------------------------------
 
-    def phase_preacts(
-        self,
-        gates: Tuple[str, ...],
-        x: Array,
-        h: Array,
-        out: Optional[Array] = None,
-    ) -> Array:
+    def project_inputs(self, x: Array) -> Array:
+        """The input half ``x @ W_x.T`` of every gate, for all rows at once.
+
+        ``x`` is ``(..., E)``; the result is ``(..., G*H)`` in ``GATES``
+        block order.  One 2-D GEMM over the flattened rows — a layer's
+        forward passes its whole ``(B, T, E)`` input, so the projection
+        runs once per sequence instead of once per timestep.
+        """
+        flat = x.reshape(-1, self.input_size)
+        return (flat @ self.w_x.value.T).reshape(*x.shape[:-1], -1)
+
+    def phase_preacts(self, gates: Tuple[str, ...], xw: Array, h: Array) -> Array:
         """All ``W_x x + W_h h`` products of a phase as one ``(B, G*H)``.
 
-        Each gate's GEMM pair runs separately and is summed directly into
-        its block view of the output buffer (``np.add(..., out=view)`` is
-        elementwise, so the block contents are bitwise identical to the
-        legacy per-gate ``x @ W_x.T + h @ W_h.T``).
+        ``xw`` is the timestep's projected input row from
+        :meth:`project_inputs` (every gate's columns); ``h`` is the phase's
+        recurrent operand.
+        One recurrent GEMM over the phase's stacked rows, plus the phase's
+        columns of ``xw``.  Keeps no state on the cell, so any number of
+        threads may step one cell at once.
         """
-        batch = x.shape[0]
-        hidden = self.hidden_size
-        if out is None:
-            out = np.empty((batch, hidden * len(gates)))
-        scratch = getattr(self, "_gemm_scratch", None)
-        if scratch is None or scratch[0].shape[0] != batch:
-            scratch = (np.empty((batch, hidden)), np.empty((batch, hidden)))
-            self._gemm_scratch = scratch
-        xw, hw = scratch
-        for i, gate in enumerate(gates):
-            w_x, w_h, _ = self.gate_weights(gate)
-            view = out[:, i * hidden : (i + 1) * hidden]
-            np.matmul(x, w_x.T, out=xw)
-            np.matmul(h, w_h.T, out=hw)
-            np.add(xw, hw, out=view)
-        return out
+        rows = self.gate_rows(gates)
+        pre = h @ self.w_h.value[rows].T
+        pre += xw[:, rows]
+        return pre
 
     # -- stepping ------------------------------------------------------------
 
-    def step_hooked(self, x: Array, state, hook: Optional[MemoHook] = None):
+    def step_hooked(self, x: Array, xw: Array, state, hook: Optional[MemoHook] = None):
         """One inference timestep with an optional memoization hook.
 
-        Returns ``(h_t, new_state)`` with the layer's state convention.
-        Implemented by each cell; with ``hook=None`` the result is
-        bitwise identical to the legacy dict-based ``step``.
+        ``x`` is the raw input row (the hook's operand), ``xw`` its
+        projection.  Returns ``(h_t, new_state)`` with the layer's state
+        convention.  Implemented by each cell; with ``hook=None`` the
+        result is bitwise identical to the training-time ``step``.
         """
         raise NotImplementedError

@@ -6,7 +6,9 @@ operand is ``r_t * h_{t-1}``, so the cell decomposes into *two* gate
 phases: ``z``/``r`` over ``(x_t, h_{t-1})`` first, then ``g`` over
 ``(x_t, r_t * h_{t-1})`` once the reset gate is resolved.  The
 :class:`~repro.nn.cells.MemoHook` sees one batched pre-activation matrix
-per phase.
+per phase.  The candidate's recurrent GEMM runs over the ``g`` rows of
+the stacked ``w_h`` against ``r_t * h_{t-1}``; both phases read their
+input half from the one projection of the sequence.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.cells import GatedCell, GatePhase, MemoHook
-from repro.nn.initializers import orthogonal, xavier_uniform, zeros
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 Array = np.ndarray
 
@@ -33,6 +34,9 @@ class GRUCell(GatedCell):
         r_t = sigmoid(W_rx x_t + W_rh h_{t-1} + b_r)
         g_t = tanh   (W_gx x_t + W_gh (r_t * h_{t-1}) + b_g)
         h_t = (1 - z_t) * h_{t-1} + z_t * g_t
+
+    Gate ``k`` of ``GATES`` owns rows ``k*H:(k+1)*H`` of the stacked
+    ``w_x``, ``w_h`` and ``b``.
     """
 
     GATES = GRU_GATES
@@ -54,59 +58,50 @@ class GRUCell(GatedCell):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        for gate in GRU_GATES:
-            setattr(
-                self,
-                f"w_{gate}x",
-                Parameter(xavier_uniform((hidden_size, input_size), rng)),
-            )
-            setattr(
-                self,
-                f"w_{gate}h",
-                Parameter(orthogonal((hidden_size, hidden_size), rng)),
-            )
-            setattr(self, f"b_{gate}", Parameter(zeros((hidden_size,))))
+        self._init_gate_weights(rng)
 
     # -- forward -------------------------------------------------------------
 
-    def zr_preacts(self, x: Array, h_prev: Array) -> Dict[str, Array]:
+    def zr_preacts(self, xw: Array, h_prev: Array) -> Dict[str, Array]:
         """Matmul pre-activations for the update and reset gates.
 
-        Legacy dict view of phase 0 — the batched equivalent is
-        :meth:`~repro.nn.cells.GatedCell.phase_preacts`.
+        Dict view of phase 0's
+        :meth:`~repro.nn.cells.GatedCell.phase_preacts` for the projected
+        input row ``xw``.
         """
-        pre = {}
-        for gate in ("z", "r"):
-            w_x, w_h, _ = self.gate_weights(gate)
-            pre[gate] = x @ w_x.T + h_prev @ w_h.T
-        return pre
+        pre = self.phase_preacts(self.PHASES[0].gates, xw, h_prev)
+        hidden = self.hidden_size
+        return {"z": pre[:, :hidden], "r": pre[:, hidden:]}
 
-    def g_preact(self, x: Array, reset_h: Array) -> Array:
-        """Matmul pre-activation for the candidate gate.
+    def g_preact(self, xw: Array, reset_h: Array) -> Array:
+        """Matmul pre-activation for the candidate gate (phase 1).
 
         ``reset_h`` is the already-gated recurrent operand ``r_t * h_{t-1}``.
         """
-        w_x, w_h, _ = self.gate_weights("g")
-        return x @ w_x.T + reset_h @ w_h.T
+        return self.phase_preacts(self.PHASES[1].gates, xw, reset_h)
 
     def step(
         self,
         x: Array,
+        xw: Array,
         h_prev: Array,
         preacts: Optional[Dict[str, Array]] = None,
     ) -> Tuple[Array, dict]:
-        """One timestep; ``preacts`` may substitute any of the three gates."""
+        """One training timestep over the projected input row ``xw``
+        (B, 3H); ``preacts`` may substitute any of the three gates."""
         preacts = dict(preacts) if preacts else {}
         if "z" not in preacts or "r" not in preacts:
             preacts.update(
-                {k: v for k, v in self.zr_preacts(x, h_prev).items() if k not in preacts}
+                {k: v for k, v in self.zr_preacts(xw, h_prev).items() if k not in preacts}
             )
-        z = sigmoid(preacts["z"] + self.b_z.value)
-        r = sigmoid(preacts["r"] + self.b_r.value)
+        hidden = self.hidden_size
+        b = self.b.value
+        z = sigmoid(preacts["z"] + b[:hidden])
+        r = sigmoid(preacts["r"] + b[hidden : 2 * hidden])
         reset_h = r * h_prev
         if "g" not in preacts:
-            preacts["g"] = self.g_preact(x, reset_h)
-        g = tanh(preacts["g"] + self.b_g.value)
+            preacts["g"] = self.g_preact(xw, reset_h)
+        g = tanh(preacts["g"] + b[2 * hidden :])
         h = (1.0 - z) * h_prev + z * g
         cache = {
             "x": x,
@@ -121,28 +116,31 @@ class GRUCell(GatedCell):
     def step_hooked(
         self,
         x: Array,
+        xw: Array,
         state: Array,
         hook: Optional[MemoHook] = None,
     ) -> Tuple[Array, Array]:
-        """One inference timestep over stacked pre-activation buffers.
+        """One inference timestep over stacked pre-activation matrices.
 
         Phase 0 offers the ``(B, 2H)`` z/r matrix to ``hook``, the reset
         gate is resolved, then phase 1 offers the ``(B, H)`` candidate
-        matrix (whose recurrent operand is ``r_t * h_{t-1}``).  Bitwise
-        identical to the legacy dict path.
+        matrix (whose recurrent operand is ``r_t * h_{t-1}``).  With no
+        hook, bitwise identical to :meth:`step`.
         """
         h_prev = state
         hidden = self.hidden_size
-        pre_zr = self.phase_preacts(self.PHASES[0].gates, x, h_prev)
+        b = self.b.value
+        zr_phase, g_phase = self.PHASES
+        pre_zr = self.phase_preacts(zr_phase.gates, xw, h_prev)
         if hook is not None:
-            pre_zr = hook.on_gates(self, self.PHASES[0], x, h_prev, pre_zr)
-        z = sigmoid(pre_zr[:, :hidden] + self.b_z.value)
-        r = sigmoid(pre_zr[:, hidden:] + self.b_r.value)
+            pre_zr = hook.on_gates(self, zr_phase, x, h_prev, pre_zr)
+        z = sigmoid(pre_zr[:, :hidden] + b[:hidden])
+        r = sigmoid(pre_zr[:, hidden:] + b[hidden : 2 * hidden])
         reset_h = r * h_prev
-        pre_g = self.phase_preacts(self.PHASES[1].gates, x, reset_h)
+        pre_g = self.phase_preacts(g_phase.gates, xw, reset_h)
         if hook is not None:
-            pre_g = hook.on_gates(self, self.PHASES[1], x, reset_h, pre_g)
-        g = tanh(pre_g + self.b_g.value)
+            pre_g = hook.on_gates(self, g_phase, x, reset_h, pre_g)
+        g = tanh(pre_g + b[2 * hidden :])
         h = (1.0 - z) * h_prev + z * g
         return h, h
 
@@ -158,26 +156,25 @@ class GRUCell(GatedCell):
         d_az = d_z * z * (1.0 - z)
         d_ag = d_g * (1.0 - g * g)
 
-        # Candidate gate: x path and the reset-gated recurrent path.
-        self.w_gx.grad += d_ag.T @ x
-        self.w_gh.grad += d_ag.T @ reset_h
-        self.b_g.grad += d_ag.sum(axis=0)
-        d_reset_h = d_ag @ self.w_gh.value
-        d_x = d_ag @ self.w_gx.value
-
+        # The candidate's recurrent operand is the reset-gated state.
+        zr_rows = self.gate_rows(self.PHASES[0].gates)
+        g_rows = self.gate_rows(self.PHASES[1].gates)
+        w_h = self.w_h.value
+        d_reset_h = d_ag @ w_h[g_rows]
         d_r = d_reset_h * h_prev
-        d_h_prev = d_h_prev + d_reset_h * r
         d_ar = d_r * r * (1.0 - r)
 
-        for gate, d_a in (("z", d_az), ("r", d_ar)):
-            w_x = getattr(self, f"w_{gate}x")
-            w_h = getattr(self, f"w_{gate}h")
-            b = getattr(self, f"b_{gate}")
-            w_x.grad += d_a.T @ x
-            w_h.grad += d_a.T @ h_prev
-            b.grad += d_a.sum(axis=0)
-            d_x += d_a @ w_x.value
-            d_h_prev += d_a @ w_h.value
+        # Stacked (B, 3H) pre-activation gradient: one GEMM per weight
+        # gradient and per input gradient, except that w_h's z/r and g
+        # blocks see different operands.
+        d_a = np.concatenate([d_az, d_ar, d_ag], axis=1)
+        d_zr = d_a[:, zr_rows]
+        self.w_x.grad += d_a.T @ x
+        self.w_h.grad[zr_rows] += d_zr.T @ h_prev
+        self.w_h.grad[g_rows] += d_ag.T @ reset_h
+        self.b.grad += d_a.sum(axis=0)
+        d_x = d_a @ self.w_x.value
+        d_h_prev = d_h_prev + d_reset_h * r + d_zr @ w_h[zr_rows]
         return d_x, d_h_prev
 
 
@@ -204,8 +201,9 @@ class GRULayer(Module):
         h = h0 if h0 is not None else np.zeros((batch, self.hidden_size))
         self._caches = []
         outputs = np.empty((batch, steps, self.hidden_size))
+        xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, cache = self.cell.step(x[:, t, :], h)
+            h, cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
             self._caches.append(cache)
             outputs[:, t, :] = h
         return outputs
@@ -226,10 +224,11 @@ class GRULayer(Module):
     ) -> Tuple[Array, Array]:
         """One inference step; returns ``(h_t, new_state)``.
 
-        Routes through the cell's stacked-buffer path (bitwise identical
-        to the legacy dict path); ``hook`` is the memoization seam.
+        Projects the one input row, then runs the cell's ``step_hooked``;
+        ``hook`` is the memoization seam.  Agrees with :meth:`forward` to
+        float tolerance (see the bitwise note in :mod:`repro.nn.cells`).
         """
-        return self.cell.step_hooked(x_t, state, hook=hook)
+        return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
         if not self._caches:

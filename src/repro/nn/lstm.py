@@ -1,13 +1,15 @@
 """Peephole LSTM cell and sequence layer (paper Figure 4, Equations 1-6).
 
 The cell is a :class:`~repro.nn.cells.GatedCell`: it exposes its gate
-order (``GATES``), a single-phase decomposition (``PHASES``) and a
-``step_hooked`` timestep that offers the whole batched pre-activation
-matrix to a :class:`~repro.nn.cells.MemoHook`, so :mod:`repro.core` can
-intercept exactly the dot products the paper's memoization scheme skips:
-for each gate, the expensive part of a neuron is
-``W_x @ x_t + W_h @ h_{t-1}``; bias, peephole and activation are applied
-afterwards by the (cheap) multi-functional unit.
+order (``GATES``), a single-phase decomposition (``PHASES``), stacked
+``(4H, E)``/``(4H, H)`` weights and a ``step_hooked`` timestep that
+offers the whole batched pre-activation matrix to a
+:class:`~repro.nn.cells.MemoHook`, so :mod:`repro.core` can intercept
+exactly the dot products the paper's memoization scheme skips: for each
+gate, the expensive part of a neuron is ``W_x @ x_t + W_h @ h_{t-1}``;
+bias, peephole and activation are applied afterwards by the (cheap)
+multi-functional unit.  The layer projects its whole input sequence
+(``W_x @ x_t`` for every ``t``) in one GEMM before the time loop.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.cells import GatedCell, GatePhase, MemoHook
-from repro.nn.initializers import orthogonal, xavier_uniform, zeros
+from repro.nn.initializers import zeros
 from repro.nn.module import Module, Parameter
 
 Array = np.ndarray
@@ -38,6 +40,11 @@ class LSTMCell(GatedCell):
         c_t = f_t * c_{t-1} + i_t * g_t
         o_t = sigmoid(W_ox x_t + W_oh h_{t-1} + p_o * c_t   + b_o)
         h_t = o_t * tanh(c_t)
+
+    Gate ``k`` of ``GATES`` owns rows ``k*H:(k+1)*H`` of the stacked
+    ``w_x``, ``w_h`` and ``b`` (:meth:`~repro.nn.cells.GatedCell.gate_weights`
+    returns those blocks as views); the peepholes ``p_i``, ``p_f``,
+    ``p_o`` are separate ``(H,)`` parameters.
     """
 
     GATES = LSTM_GATES
@@ -60,58 +67,51 @@ class LSTMCell(GatedCell):
         self.hidden_size = hidden_size
         self.peephole = peephole
 
-        for gate in LSTM_GATES:
-            setattr(
-                self,
-                f"w_{gate}x",
-                Parameter(xavier_uniform((hidden_size, input_size), rng)),
-            )
-            setattr(
-                self,
-                f"w_{gate}h",
-                Parameter(orthogonal((hidden_size, hidden_size), rng)),
-            )
-            setattr(self, f"b_{gate}", Parameter(zeros((hidden_size,))))
+        self._init_gate_weights(rng)
         # Bias the forget gate open so gradients flow early in training.
-        self.b_f.value += forget_bias
+        self.b.value[self.gate_rows(("f",))] += forget_bias
         if peephole:
             for gate in ("i", "f", "o"):
                 setattr(self, f"p_{gate}", Parameter(zeros((hidden_size,))))
 
     # -- forward -------------------------------------------------------------
 
-    def gate_preacts(self, x: Array, h_prev: Array) -> Dict[str, Array]:
+    def gate_preacts(self, xw: Array, h_prev: Array) -> Dict[str, Array]:
         """The four matmul results ``W_x x + W_h h`` (no bias/peephole).
 
-        Legacy dict view of the single phase's pre-activations — the
-        batched equivalent is :meth:`~repro.nn.cells.GatedCell.phase_preacts`,
-        which :meth:`step_hooked` feeds to the :class:`MemoHook`.
+        Dict view, one column block per gate, of the single phase's
+        :meth:`~repro.nn.cells.GatedCell.phase_preacts` for the projected
+        input row ``xw``.
         """
-        pre = {}
-        for gate in LSTM_GATES:
-            w_x, w_h, _ = self.gate_weights(gate)
-            pre[gate] = x @ w_x.T + h_prev @ w_h.T
-        return pre
+        pre = self.phase_preacts(LSTM_GATES, xw, h_prev)
+        hidden = self.hidden_size
+        return {
+            gate: pre[:, k * hidden : (k + 1) * hidden]
+            for k, gate in enumerate(LSTM_GATES)
+        }
 
     def step(
         self,
         x: Array,
+        xw: Array,
         h_prev: Array,
         c_prev: Array,
         preacts: Optional[Dict[str, Array]] = None,
     ) -> Tuple[Array, Array, dict]:
-        """One timestep.  Shapes: ``x`` (B, E); ``h_prev``/``c_prev`` (B, H).
+        """One training timestep.  Shapes: ``x`` (B, E); ``xw`` (B, 4H), the
+        row's :meth:`~repro.nn.cells.GatedCell.project_inputs`;
+        ``h_prev``/``c_prev`` (B, H).
 
         Args:
-            preacts: optional substitute for the gate matmul results — the
-                legacy per-gate hook (the engine now uses ``step_hooked``).
+            preacts: optional substitute for the gate matmul results, per
+                gate (the engine uses ``step_hooked``'s hook instead).
 
         Returns:
             ``(h_t, c_t, cache)`` where ``cache`` holds everything the
             backward pass needs.
         """
         if preacts is None:
-            preacts = self.gate_preacts(x, h_prev)
+            preacts = self.gate_preacts(xw, h_prev)
         return self._apply_gates(
             x,
             h_prev,
@@ -125,19 +125,20 @@ class LSTMCell(GatedCell):
     def step_hooked(
         self,
         x: Array,
+        xw: Array,
         state: Tuple[Array, Array],
         hook: Optional[MemoHook] = None,
     ) -> Tuple[Array, Tuple[Array, Array]]:
-        """One inference timestep over the stacked pre-activation buffer.
+        """One inference timestep over the stacked pre-activation matrix.
 
-        Computes every gate's GEMM pair into one contiguous ``(B, 4H)``
-        matrix, offers it to ``hook`` (the memoization seam), then applies
-        the identical gate math as :meth:`step` — bitwise equal to the
-        legacy path with or without a hook that substitutes values the
-        way the engine does.
+        Computes the phase's one recurrent GEMM plus the projected input
+        row ``xw`` into a contiguous ``(B, 4H)`` matrix, offers it to
+        ``hook`` (the memoization seam), then applies the same gate math
+        as :meth:`step` — bitwise equal to it with no hook, or with a hook
+        that returns the matrix unchanged.
         """
         h_prev, c_prev = state
-        pre = self.phase_preacts(self.GATES, x, h_prev)
+        pre = self.phase_preacts(self.GATES, xw, h_prev)
         if hook is not None:
             pre = hook.on_gates(self, self.PHASES[0], x, h_prev, pre)
         hidden = self.hidden_size
@@ -163,16 +164,18 @@ class LSTMCell(GatedCell):
         pre_o: Array,
     ) -> Tuple[Array, Array, dict]:
         """Bias/peephole/activation math shared by ``step``/``step_hooked``."""
-        a_i = pre_i + self.b_i.value
-        a_f = pre_f + self.b_f.value
+        hidden = self.hidden_size
+        b = self.b.value
+        a_i = pre_i + b[:hidden]
+        a_f = pre_f + b[hidden : 2 * hidden]
         if self.peephole:
             a_i = a_i + self.p_i.value * c_prev
             a_f = a_f + self.p_f.value * c_prev
         i = sigmoid(a_i)
         f = sigmoid(a_f)
-        g = tanh(pre_g + self.b_g.value)
+        g = tanh(pre_g + b[2 * hidden : 3 * hidden])
         c = f * c_prev + i * g
-        a_o = pre_o + self.b_o.value
+        a_o = pre_o + b[3 * hidden :]
         if self.peephole:
             a_o = a_o + self.p_o.value * c
         o = sigmoid(a_o)
@@ -228,18 +231,13 @@ class LSTMCell(GatedCell):
             self.p_f.grad += (d_af * c_prev).sum(axis=0)
             self.p_o.grad += (d_ao * c).sum(axis=0)
 
-        d_x = np.zeros_like(x)
-        d_h_prev = np.zeros_like(h_prev)
-        for gate, d_a in zip(LSTM_GATES, (d_ai, d_af, d_ag, d_ao)):
-            w_x = getattr(self, f"w_{gate}x")
-            w_h = getattr(self, f"w_{gate}h")
-            b = getattr(self, f"b_{gate}")
-            w_x.grad += d_a.T @ x
-            w_h.grad += d_a.T @ h_prev
-            b.grad += d_a.sum(axis=0)
-            d_x += d_a @ w_x.value
-            d_h_prev += d_a @ w_h.value
-        return d_x, d_h_prev, d_c_prev
+        # Stacked (B, 4H) gradient of every gate's pre-activation: one
+        # GEMM per weight gradient and per input gradient.
+        d_a = np.concatenate([d_ai, d_af, d_ag, d_ao], axis=1)
+        self.w_x.grad += d_a.T @ x
+        self.w_h.grad += d_a.T @ h_prev
+        self.b.grad += d_a.sum(axis=0)
+        return d_a @ self.w_x.value, d_a @ self.w_h.value, d_c_prev
 
 
 class LSTMLayer(Module):
@@ -273,16 +271,17 @@ class LSTMLayer(Module):
         c = c0 if c0 is not None else np.zeros((batch, self.hidden_size))
         self._caches = []
         outputs = np.empty((batch, steps, self.hidden_size))
+        xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, c, cache = self.cell.step(x[:, t, :], h, c)
+            h, c, cache = self.cell.step(x[:, t, :], xw[:, t, :], h, c)
             self._caches.append(cache)
             outputs[:, t, :] = h
         return outputs
 
     __call__ = forward
 
-    # -- stepping interface (inference-time, used by decoders and the
-    # -- memoization engine; plain forward keeps its own loop for BPTT) ------
+    # -- stepping interface (inference-time, used by decoders and streaming
+    # -- sessions; plain forward keeps its own loop for BPTT) ----------------
 
     def start_state(self, batch: int) -> Tuple[Array, Array]:
         """Fresh ``(h, c)`` state for a new sequence."""
@@ -299,11 +298,11 @@ class LSTMLayer(Module):
     ) -> Tuple[Array, Tuple]:
         """One inference step; returns ``(h_t, new_state)``.
 
-        Routes through the cell's stacked-buffer path (bitwise identical
-        to the legacy per-gate dict path); ``hook`` is the memoization
-        seam.
+        Projects the one input row, then runs the cell's ``step_hooked``;
+        ``hook`` is the memoization seam.  Agrees with :meth:`forward` to
+        float tolerance (see the bitwise note in :mod:`repro.nn.cells`).
         """
-        return self.cell.step_hooked(x_t, state, hook=hook)
+        return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
         """BPTT over the cached sequence; returns ``dL/dx`` (B, T, E)."""

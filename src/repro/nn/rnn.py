@@ -20,9 +20,8 @@ import numpy as np
 from repro.nn.activations import tanh
 from repro.nn.cells import GatedCell, GatePhase, MemoHook
 from repro.nn.gru import GRULayer
-from repro.nn.initializers import orthogonal, xavier_uniform, zeros
 from repro.nn.lstm import LSTMLayer
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Module
 
 Array = np.ndarray
 
@@ -34,6 +33,9 @@ class RNNCell(GatedCell):
     """A single Elman RNN cell::
 
         h_t = tanh(W_hx x_t + W_hh h_{t-1} + b_h)
+
+    The single gate's blocks are the whole stacked ``w_x``, ``w_h`` and
+    ``b``.
     """
 
     GATES = RNN_GATES
@@ -51,51 +53,52 @@ class RNNCell(GatedCell):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        self.w_hx = Parameter(xavier_uniform((hidden_size, input_size), rng))
-        self.w_hh = Parameter(orthogonal((hidden_size, hidden_size), rng))
-        self.b_h = Parameter(zeros((hidden_size,)))
+        self._init_gate_weights(rng)
 
     # -- forward -------------------------------------------------------------
 
-    def gate_preacts(self, x: Array, h_prev: Array) -> Dict[str, Array]:
-        """Legacy dict view of the single gate's pre-activation."""
-        return {"h": x @ self.w_hx.value.T + h_prev @ self.w_hh.value.T}
+    def gate_preacts(self, xw: Array, h_prev: Array) -> Dict[str, Array]:
+        """Dict view of the single gate's pre-activation."""
+        return {"h": self.phase_preacts(RNN_GATES, xw, h_prev)}
 
     def step(
         self,
         x: Array,
+        xw: Array,
         h_prev: Array,
         preacts: Optional[Dict[str, Array]] = None,
     ) -> Tuple[Array, dict]:
-        """One timestep; returns ``(h_t, cache)``."""
+        """One training timestep over the projected input row ``xw``;
+        returns ``(h_t, cache)``."""
         if preacts is None:
-            preacts = self.gate_preacts(x, h_prev)
-        h = tanh(preacts["h"] + self.b_h.value)
+            preacts = self.gate_preacts(xw, h_prev)
+        h = tanh(preacts["h"] + self.b.value)
         cache = {"x": x, "h_prev": h_prev, "h": h}
         return h, cache
 
     def step_hooked(
         self,
         x: Array,
+        xw: Array,
         state: Array,
         hook: Optional[MemoHook] = None,
     ) -> Tuple[Array, Array]:
-        """One inference timestep over the stacked (single-gate) buffer."""
+        """One inference timestep over the stacked (single-gate) matrix."""
         h_prev = state
-        pre = self.phase_preacts(self.GATES, x, h_prev)
+        pre = self.phase_preacts(self.GATES, xw, h_prev)
         if hook is not None:
             pre = hook.on_gates(self, self.PHASES[0], x, h_prev, pre)
-        h = tanh(pre + self.b_h.value)
+        h = tanh(pre + self.b.value)
         return h, h
 
     def backward_step(self, d_h: Array, cache: dict) -> Tuple[Array, Array]:
         """Backward through one timestep -> ``(d_x, d_h_prev)``."""
         x, h_prev, h = cache["x"], cache["h_prev"], cache["h"]
         d_a = d_h * (1.0 - h * h)
-        self.w_hx.grad += d_a.T @ x
-        self.w_hh.grad += d_a.T @ h_prev
-        self.b_h.grad += d_a.sum(axis=0)
-        return d_a @ self.w_hx.value, d_a @ self.w_hh.value
+        self.w_x.grad += d_a.T @ x
+        self.w_h.grad += d_a.T @ h_prev
+        self.b.grad += d_a.sum(axis=0)
+        return d_a @ self.w_x.value, d_a @ self.w_h.value
 
 
 class RNNLayer(Module):
@@ -121,8 +124,9 @@ class RNNLayer(Module):
         h = h0 if h0 is not None else np.zeros((batch, self.hidden_size))
         self._caches = []
         outputs = np.empty((batch, steps, self.hidden_size))
+        xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, cache = self.cell.step(x[:, t, :], h)
+            h, cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
             self._caches.append(cache)
             outputs[:, t, :] = h
         return outputs
@@ -141,8 +145,9 @@ class RNNLayer(Module):
         state: Array,
         hook: Optional[MemoHook] = None,
     ) -> Tuple[Array, Array]:
-        """One inference step; returns ``(h_t, new_state)``."""
-        return self.cell.step_hooked(x_t, state, hook=hook)
+        """One inference step (projects the one input row); returns
+        ``(h_t, new_state)``."""
+        return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
         if not self._caches:

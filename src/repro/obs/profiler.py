@@ -1,10 +1,10 @@
 """Opt-in engine profiling: phase-level timing inside the memoized core.
 
 The engine hot path (:class:`~repro.core.layers.MemoizedRecurrentLayer`)
-reads one module attribute — :data:`ACTIVE` — per timestep and per gate
-phase.  When it is ``None`` (the default, always, unless a caller
-explicitly installs a profiler) every fence is skipped: no timestamps,
-no locks, no allocations.  ``benchmarks/bench_obs_overhead.py`` pins
+reads one module attribute — :data:`ACTIVE` — per forward, per timestep
+and per gate phase.  When it is ``None`` (the default, always, unless a
+caller explicitly installs a profiler) every fence is skipped: no
+timestamps, no locks, no allocations.  ``benchmarks/bench_obs_overhead.py`` pins
 that claim with a floor-asserted <2% disabled-overhead budget against a
 fence-free baseline.
 
@@ -14,7 +14,9 @@ time the predictor evaluation and the memo-table substitution — the
 computation between the fences is the same code, so enabling profiling
 cannot change a single bit — and record, per (layer, phase): predictor
 seconds, substitution seconds, reuse counts, and per-step wall time
-(compute time is the step total minus the instrumented parts).
+(compute time is the step total minus the instrumented parts).  A
+forward's input projection runs once per sequence, before its first
+step, and is fenced on its own: ``project_s`` per layer.
 :class:`~repro.core.memo.MemoTable` reports buffer (re)allocations from
 its cold path.
 
@@ -31,8 +33,8 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 #: The live profiler, or ``None`` (the zero-cost default).  The engine
-#: reads this attribute once per timestep and gate phase; everything
-#: else in this module is off the hot path.
+#: reads this attribute once per forward, timestep and gate phase;
+#: everything else in this module is off the hot path.
 ACTIVE: Optional["Profiler"] = None
 
 
@@ -57,6 +59,7 @@ class Profiler:
         self._lock = threading.Lock()
         self._phases: Dict[Tuple[str, int], _PhaseRecord] = {}
         self._steps: Dict[str, List[float]] = {}  # layer -> [calls, seconds]
+        self._projections: Dict[str, float] = {}  # layer -> seconds
         self._tables: List[Dict[str, object]] = []
 
     # -- recording (called by the engine, only when installed) ---------------
@@ -90,6 +93,11 @@ class Profiler:
             entry[0] += 1
             entry[1] += seconds
 
+    def record_projection(self, layer: str, seconds: float) -> None:
+        """A forward's input projection, which runs outside every step."""
+        with self._lock:
+            self._projections[layer] = self._projections.get(layer, 0.0) + seconds
+
     def record_table(
         self, layer: str, phase_index: int, batch: int, neurons: int
     ) -> None:
@@ -117,13 +125,12 @@ class Profiler:
                 for key, record in self._phases.items()
             }
             steps = {layer: tuple(entry) for layer, entry in self._steps.items()}
+            projections = dict(self._projections)
             tables = [dict(entry) for entry in self._tables]
         layers: Dict[str, Dict[str, object]] = {}
         for (layer, phase_index), values in sorted(phases.items()):
             gates, calls, predict_s, substitute_s, reused, total = values
-            entry = layers.setdefault(
-                layer, {"steps": 0, "step_s": 0.0, "phases": {}}
-            )
+            entry = layers.setdefault(layer, _layer_entry())
             entry["phases"][str(phase_index)] = {
                 "gates": list(gates),
                 "calls": calls,
@@ -134,9 +141,7 @@ class Profiler:
                 "reuse_fraction": (reused / total) if total else 0.0,
             }
         for layer, (calls, seconds) in steps.items():
-            entry = layers.setdefault(
-                layer, {"steps": 0, "step_s": 0.0, "phases": {}}
-            )
+            entry = layers.setdefault(layer, _layer_entry())
             entry["steps"] = int(calls)
             entry["step_s"] = seconds
             instrumented = sum(
@@ -147,7 +152,14 @@ class Profiler:
             # memo substitution is the cell's own compute (matmuls,
             # activations) plus loop overhead.
             entry["compute_s"] = max(0.0, seconds - instrumented)
+        for layer, seconds in projections.items():
+            layers.setdefault(layer, _layer_entry())["project_s"] = seconds
         return {"layers": layers, "table_allocations": tables}
+
+
+def _layer_entry() -> Dict[str, object]:
+    """A snapshot's per-layer record before any measurement lands in it."""
+    return {"steps": 0, "step_s": 0.0, "project_s": 0.0, "phases": {}}
 
 
 def install(profiler: Profiler) -> None:

@@ -55,7 +55,11 @@ DEFAULT_THETAS: Tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 #: (``shard_index``/``shard_count``, the whole point being ``(0, 1)``)
 #: and carries no ``kind``; every result carries its metric accumulator
 #: and ``base_quality``.
-CACHE_VERSION = 4
+#:
+#: v5: cells keep stacked gate weights and project each sequence's
+#: inputs in one GEMM, so trained weights and activations differ from
+#: v4's in their last bits.
+CACHE_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,14 @@ recurrent stack: fresh wrappers over the same weights, with predictor
 and memo state that persists across chunk requests instead of resetting
 per request.  Sessions carry a ``last_used`` stamp and are evicted after
 ``session_ttl`` seconds idle, so abandoned clients cannot permanently
-exhaust ``max_sessions``.  A chunked transcription is bitwise identical
-to the one-shot forward of the concatenated frames, because chunking
-only splits the timestep loop around preserved state.
+exhaust ``max_sessions``.  A chunked transcription equals the one-shot
+transcription of the concatenated frames: chunking only splits the
+timestep loop around preserved state.  (A session steps one frame at a
+time, so its activations agree with the one-shot forward's to float
+tolerance, not bitwise; the transcripts are what compare.)  Sessions
+wrap the same layers, so their feeds step one set of cells from several
+threads at once; the cells keep no per-call scratch, so concurrent
+sessions cannot see each other's products.
 """
 
 from __future__ import annotations
@@ -348,8 +353,8 @@ class StreamSession:
     pool's replicas) but with their own predictors and memo tables,
     started once at open: chunk requests thread the recurrent state
     through, so the memo stays warm across requests instead of resetting
-    — and the concatenation of all chunks is bitwise identical to a
-    one-shot forward of the full utterance.
+    — and the transcript of all chunks equals the one-shot transcript of
+    the full utterance.
 
     ``last_used`` drives idle eviction; ``lock`` serializes feeds into
     this session (feeds into *different* sessions run concurrently).

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.gru import GRU_GATES, GRUCell, GRULayer
 
-from helpers import assert_grad_close, numeric_grad
+from helpers import assert_grad_close, gate_block, numeric_grad
 
 
 @pytest.fixture
@@ -17,7 +17,8 @@ def rng():
 class TestCellForward:
     def test_step_shapes(self, rng):
         cell = GRUCell(4, 6, rng=rng)
-        h, cache = cell.step(rng.standard_normal((2, 4)), np.zeros((2, 6)))
+        x = rng.standard_normal((2, 4))
+        h, cache = cell.step(x, cell.project_inputs(x), np.zeros((2, 6)))
         assert h.shape == (2, 6)
         assert set(cache) >= {"z", "r", "g"}
 
@@ -25,7 +26,7 @@ class TestCellForward:
         cell = GRUCell(3, 5, rng=rng)
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5))
-        h, _ = cell.step(x, h_prev)
+        h, _ = cell.step(x, cell.project_inputs(x), h_prev)
 
         def lin(name, rec):
             w_x, w_h, b = cell.gate_weights(name)
@@ -41,13 +42,14 @@ class TestCellForward:
         cell = GRUCell(3, 5, rng=rng)
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5))
-        pre = cell.zr_preacts(x, h_prev)
-        z = sigmoid(pre["z"] + cell.b_z.value)
-        r = sigmoid(pre["r"] + cell.b_r.value)
-        pre["g"] = cell.g_preact(x, r * h_prev)
+        xw = cell.project_inputs(x)
+        pre = cell.zr_preacts(xw, h_prev)
+        z = sigmoid(pre["z"] + cell.gate_weights("z")[2])
+        r = sigmoid(pre["r"] + cell.gate_weights("r")[2])
+        pre["g"] = cell.g_preact(xw, r * h_prev)
         del z
-        h_direct, _ = cell.step(x, h_prev)
-        h_hooked, _ = cell.step(x, h_prev, preacts=pre)
+        h_direct, _ = cell.step(x, xw, h_prev)
+        h_hooked, _ = cell.step(x, xw, h_prev, preacts=pre)
         np.testing.assert_allclose(h_direct, h_hooked)
 
     def test_gate_names(self, rng):
@@ -62,7 +64,7 @@ class TestCellForward:
         cell = GRUCell(3, 5, rng=rng)
         x = rng.standard_normal((4, 3))
         h_prev = rng.standard_normal((4, 5))
-        h, cache = cell.step(x, h_prev)
+        h, cache = cell.step(x, cell.project_inputs(x), h_prev)
         low = np.minimum(h_prev, cache["g"])
         high = np.maximum(h_prev, cache["g"])
         assert np.all(h >= low - 1e-12) and np.all(h <= high + 1e-12)
@@ -105,20 +107,24 @@ class TestLayerGradients:
         "pname", ["w_zx", "w_zh", "w_rx", "w_rh", "w_gx", "w_gh", "b_z", "b_r", "b_g"]
     )
     def test_weight_gradients(self, rng, pname):
+        """Each per-gate weight is its gate's row block of a stacked parameter."""
         layer, x, probe = self._setup(rng)
-        param = getattr(layer.cell, pname)
+        param, rows = gate_block(layer.cell, pname)
 
         def loss(w):
-            saved = param.value
-            param.value = w
+            saved = param.value[rows].copy()
+            param.value[rows] = w
             out = float(np.sum(layer.forward(x) * probe))
-            param.value = saved
+            param.value[rows] = saved
             return out
 
         layer.forward(x)
         layer.backward(probe)
         assert_grad_close(
-            param.grad, numeric_grad(loss, param.value.copy()), rtol=1e-3, atol=1e-6
+            param.grad[rows],
+            numeric_grad(loss, param.value[rows].copy()),
+            rtol=1e-3,
+            atol=1e-6,
         )
 
     def test_backward_before_forward_raises(self, rng):

@@ -6,7 +6,7 @@ import pytest
 from repro.nn.activations import sigmoid, tanh
 from repro.nn.lstm import LSTM_GATES, LSTMCell, LSTMLayer
 
-from helpers import assert_grad_close, numeric_grad
+from helpers import assert_grad_close, gate_block, numeric_grad
 
 
 @pytest.fixture
@@ -17,8 +17,9 @@ def rng():
 class TestCellForward:
     def test_step_shapes(self, rng):
         cell = LSTMCell(4, 6, rng=rng)
+        x = rng.standard_normal((2, 4))
         h, c, cache = cell.step(
-            rng.standard_normal((2, 4)), np.zeros((2, 6)), np.zeros((2, 6))
+            x, cell.project_inputs(x), np.zeros((2, 6)), np.zeros((2, 6))
         )
         assert h.shape == (2, 6) and c.shape == (2, 6)
         assert set(cache) >= {"i", "f", "g", "o", "c"}
@@ -29,7 +30,7 @@ class TestCellForward:
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5))
         c_prev = rng.standard_normal((1, 5))
-        h, c, _ = cell.step(x, h_prev, c_prev)
+        h, c, _ = cell.step(x, cell.project_inputs(x), h_prev, c_prev)
 
         def gate(name):
             w_x, w_h, b = cell.gate_weights(name)
@@ -49,15 +50,17 @@ class TestCellForward:
         x = rng.standard_normal((1, 3))
         h_prev = rng.standard_normal((1, 5))
         c_prev = rng.standard_normal((1, 5))
-        pre = cell.gate_preacts(x, h_prev)
-        h_direct, c_direct, _ = cell.step(x, h_prev, c_prev)
-        h_hooked, c_hooked, _ = cell.step(x, h_prev, c_prev, preacts=pre)
+        xw = cell.project_inputs(x)
+        pre = cell.gate_preacts(xw, h_prev)
+        h_direct, c_direct, _ = cell.step(x, xw, h_prev, c_prev)
+        h_hooked, c_hooked, _ = cell.step(x, xw, h_prev, c_prev, preacts=pre)
         np.testing.assert_allclose(h_direct, h_hooked)
         np.testing.assert_allclose(c_direct, c_hooked)
 
     def test_forget_bias_applied(self, rng):
         cell = LSTMCell(3, 5, rng=rng, forget_bias=1.0)
-        assert np.all(cell.b_f.value == 1.0)
+        param, rows = gate_block(cell, "b_f")
+        assert np.all(param.value[rows] == 1.0)
 
     def test_gate_weights_unknown_gate(self, rng):
         with pytest.raises(KeyError):
@@ -125,20 +128,24 @@ class TestLayerGradients:
 
     @pytest.mark.parametrize("pname", ["w_ix", "w_fh", "w_gx", "w_oh", "b_i", "b_g"])
     def test_weight_gradients(self, rng, peephole, pname):
+        """Each per-gate weight is its gate's row block of a stacked parameter."""
         layer, x, probe = self._setup(rng, peephole)
-        param = getattr(layer.cell, pname)
+        param, rows = gate_block(layer.cell, pname)
 
         def loss(w):
-            saved = param.value
-            param.value = w
+            saved = param.value[rows].copy()
+            param.value[rows] = w
             out = float(np.sum(layer.forward(x) * probe))
-            param.value = saved
+            param.value[rows] = saved
             return out
 
         layer.forward(x)
         layer.backward(probe)
         assert_grad_close(
-            param.grad, numeric_grad(loss, param.value.copy()), rtol=1e-3, atol=1e-6
+            param.grad[rows],
+            numeric_grad(loss, param.value[rows].copy()),
+            rtol=1e-3,
+            atol=1e-6,
         )
 
     def test_peephole_gradients(self, rng, peephole):

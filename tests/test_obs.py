@@ -283,7 +283,9 @@ class TestProfiler:
             total_off = dict(stats.total)
             stats.reset()
             with profiled() as profiler:
+                start = time.perf_counter()
                 profiled_out = stack(inputs)
+                wall = time.perf_counter() - start
             np.testing.assert_array_equal(baseline, profiled_out)
             assert dict(stats.reused) == reused_off
             assert dict(stats.total) == total_off
@@ -295,6 +297,9 @@ class TestProfiler:
         assert layer["steps"] == 10
         assert layer["step_s"] > 0
         assert layer["compute_s"] >= 0
+        # The hoisted input projection runs outside every step fence.
+        assert layer["project_s"] > 0
+        assert layer["step_s"] + layer["project_s"] <= wall
         phases = layer["phases"]
         assert phases  # at least one gate phase recorded
         profiled_reuse = sum(p["reused"] for p in phases.values())

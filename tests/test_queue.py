@@ -528,8 +528,19 @@ class TestCrashRecovery:
         """Another submitter's poison payload must not crash this one's
         sweep: the drain quarantines it and keeps going."""
         queue = WorkQueue(tmp_path)
-        queue.submit({"kind": "teleport", "from": "someone-else"})
         job = SweepJob(network="imdb", thetas=(0.1, 0.3))
+        # Claims go in task-key order: pick a poison payload whose key
+        # sorts before every point of the sweep, so the drain meets it
+        # first whatever the payloads' CACHE_VERSION.
+        first = min(payload_key(job.point_payload(theta)) for theta in job.thetas)
+        poison = next(
+            payload
+            for payload in (
+                {"kind": "teleport", "from": f"someone-else-{n}"} for n in range(256)
+            )
+            if payload_key(payload) < first
+        )
+        queue.submit(poison)
         baseline = ParallelRunner().run(job)
         results = ParallelRunner(
             backend=QueueBackend(queue, timeout=600)

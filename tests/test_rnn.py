@@ -23,7 +23,8 @@ class TestRNNCell:
 
     def test_step_shapes_and_bounds(self, rng):
         cell = RNNCell(4, 3, rng=rng)
-        h, cache = cell.step(rng.standard_normal((2, 4)), np.zeros((2, 3)))
+        x = rng.standard_normal((2, 4))
+        h, cache = cell.step(x, cell.project_inputs(x), np.zeros((2, 3)))
         assert h.shape == (2, 3)
         assert np.all(np.abs(h) <= 1.0)  # tanh-bounded
         assert cache["h"] is h
@@ -35,14 +36,15 @@ class TestRNNCell:
             RNNCell(3, -1)
 
     def test_step_hooked_matches_step(self, rng):
-        """The hooked inference path is bitwise identical to the legacy
+        """The hooked inference path is bitwise identical to the
         training-time step."""
         cell = RNNCell(4, 3, rng=rng)
         x = rng.standard_normal((2, 4))
         h_prev = rng.standard_normal((2, 3))
-        legacy, _ = cell.step(x, h_prev)
-        hooked, state = cell.step_hooked(x, h_prev)
-        np.testing.assert_array_equal(legacy, hooked)
+        xw = cell.project_inputs(x)
+        plain, _ = cell.step(x, xw, h_prev)
+        hooked, state = cell.step_hooked(x, xw, h_prev)
+        np.testing.assert_array_equal(plain, hooked)
         np.testing.assert_array_equal(hooked, state)
 
     def test_hook_sees_single_phase(self, rng):
@@ -54,9 +56,8 @@ class TestRNNCell:
                 seen.append((phase, preacts.shape))
                 return preacts
 
-        cell.step_hooked(
-            rng.standard_normal((2, 4)), np.zeros((2, 3)), hook=Observer()
-        )
+        x = rng.standard_normal((2, 4))
+        cell.step_hooked(x, cell.project_inputs(x), np.zeros((2, 3)), hook=Observer())
         assert seen == [(cell.PHASES[0], (2, 3))]
 
     def test_hook_substitution_changes_output(self, rng):
@@ -66,10 +67,9 @@ class TestRNNCell:
             def on_gates(self, cell, phase, x, h, preacts):
                 return np.zeros_like(preacts)
 
-        h, _ = cell.step_hooked(
-            rng.standard_normal((2, 4)), np.zeros((2, 3)), hook=Zeroer()
-        )
-        np.testing.assert_array_equal(h, np.tanh(np.zeros((2, 3)) + cell.b_h.value))
+        x = rng.standard_normal((2, 4))
+        h, _ = cell.step_hooked(x, cell.project_inputs(x), np.zeros((2, 3)), hook=Zeroer())
+        np.testing.assert_array_equal(h, np.tanh(np.zeros((2, 3)) + cell.b.value))
 
 
 class TestRNNLayer:

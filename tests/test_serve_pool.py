@@ -19,6 +19,7 @@ The load-bearing properties:
   that batch's jobs and still serves its own request.
 """
 
+import sys
 import threading
 import time
 
@@ -603,6 +604,45 @@ class TestSessionTTL:
             assert opened["session"] in state.sessions
             assert state.sessions_evicted == 0
         finally:
+            state.unwrap()
+
+
+class TestConcurrentSessions:
+    """Bugfix: feeds into different sessions run concurrently over the one
+    set of layers, and no timestep may see another session's products."""
+
+    def test_concurrent_sessions_close_with_their_solo_transcripts(self, speech):
+        state = pooled_state(speech)
+        utterances = [speech.dataset.features[int(i)] for i in speech.test_idx[:4]]
+
+        def transcribe(frames):
+            sid = state.open_session()["session"]
+            for lo in range(0, frames.shape[0], 4):
+                state.session_feed(sid, frames[lo : lo + 4].tolist())
+            return state.close_session(sid)["transcript"]
+
+        interval = sys.getswitchinterval()
+        try:
+            solo = [transcribe(frames) for frames in utterances]
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                transcripts = [None] * len(utterances)
+
+                def worker(index):
+                    transcripts[index] = transcribe(utterances[index])
+
+                threads = [
+                    threading.Thread(target=worker, args=(index,))
+                    for index in range(len(utterances))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert transcripts == solo
+        finally:
+            sys.setswitchinterval(interval)
             state.unwrap()
 
 

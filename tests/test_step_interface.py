@@ -1,6 +1,9 @@
 """Tests for the inference stepping interface shared by plain and
 memoized layers (used by the seq2seq decoder)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,43 @@ class TestGRUStepping:
         # Re-stepping from the original state reproduces the first result.
         h1_again, _ = layer.step(x, state)
         np.testing.assert_array_equal(h1, h1_again)
+
+
+class TestConcurrentStepping:
+    """Streaming sessions step the one shared layer from several threads."""
+
+    def test_threads_stepping_one_layer_match_their_solo_runs(self, rng):
+        layer = GRULayer(16, 32, rng=rng)
+        inputs = [rng.standard_normal((1, 50, 16)) for _ in range(4)]
+
+        def run(x):
+            state = layer.start_state(1)
+            outputs = []
+            for t in range(x.shape[1]):
+                h, state = layer.step(x[:, t, :], state)
+                outputs.append(h)
+            return np.concatenate(outputs)
+
+        solo = [run(x) for x in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                results = [None] * len(inputs)
+
+                def worker(index):
+                    results[index] = run(inputs[index])
+
+                threads = [
+                    threading.Thread(target=worker, args=(index,))
+                    for index in range(len(inputs))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for got, want in zip(results, solo):
+                    np.testing.assert_array_equal(got, want)
+        finally:
+            sys.setswitchinterval(interval)
