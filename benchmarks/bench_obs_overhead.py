@@ -92,9 +92,7 @@ def _on_gates_hookfree(self, cell, phase, x, h, preacts):
                 operand = None
     mask = predictor.predict_many(packed, preacts=preacts, operand=operand, memo=table.memo)
     outputs = table.substitute(mask, preacts)
-    hidden = self.hidden_size
-    for i, gate in enumerate(phase.gates):
-        self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
+    self.stats.record(self.name, phase.gates, mask)
     return outputs
 
 

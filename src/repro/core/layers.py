@@ -6,17 +6,17 @@ every gate pre-activation through the memoization machinery.  It is the
 engine's :class:`~repro.nn.cells.MemoHook`: the cell's ``step_hooked``
 offers each gate phase's batched ``(B, G*H)`` pre-activation matrix, the
 hook decides reuse for all gates and neurons at once, substitutes
-memoized values, and records the decisions into a
-:class:`~repro.core.stats.ReuseStats`.
+memoized values, and records the phase's decisions into a
+:class:`~repro.core.stats.ReuseStats` with one call.
 
 A forward projects the whole input sequence once
 (:meth:`~repro.nn.cells.GatedCell.project_inputs`), exactly as the plain
 layer's forward does, then steps.  Each phase has one predictor built
-from views of the stacked gate weights, one packed sign evaluation and
-one :class:`~repro.core.memo.MemoTable` update per timestep.  An
-installed :class:`~repro.obs.profiler.Profiler` only adds timing fences
-around the projection, each step, the predictor and the substitution,
-so profiling cannot change a result bit.
+from views of the stacked gate weights, one packed sign evaluation, one
+:class:`~repro.core.memo.MemoTable` select and one stats record per
+timestep.  An installed :class:`~repro.obs.profiler.Profiler` only adds
+timing fences around the projection, each step, the predictor and the
+substitution, so profiling cannot change a result bit.
 
 Because every cell is a :class:`~repro.nn.cells.GatedCell`, nothing here
 special-cases LSTM vs GRU vs vanilla RNN — the phase decomposition
@@ -141,9 +141,7 @@ class MemoizedRecurrentLayer:
                 reused=int(mask.sum()),
                 total=mask.size,
             )
-        hidden = self.hidden_size
-        for i, gate in enumerate(phase.gates):
-            self.stats.record(self.name, gate, mask[:, i * hidden : (i + 1) * hidden])
+        self.stats.record(self.name, phase.gates, mask)
         return outputs
 
     # -- forward -------------------------------------------------------------

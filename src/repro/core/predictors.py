@@ -18,10 +18,11 @@ Three predictors are implemented:
 The core contract is :meth:`GatePredictor.predict_many`: one batched
 call covering every neuron of a gate phase (and every sequence in the
 batch) that returns a boolean reuse mask.  The engine feeds it
-pre-packed uint64 sign words (for the BNN), the raw operand (for the
-input-similarity strawman) or the current/memoized pre-activations (for
-the oracle); predictors own only their *decision* state, while the memo
-tables live with the engine (:class:`repro.core.memo.MemoTable`).
+pre-packed uint64 sign words (for the BNN, its only operand form), the
+raw operand (for the input-similarity strawman) or the current/memoized
+pre-activations (for the oracle); predictors own only their *decision*
+state, while the memo tables live with the engine
+(:class:`repro.core.memo.MemoTable`).
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class GatePredictor(ABC):
 
         Args:
             packed_signs: ``(B, W)`` uint64 sign words of the operand —
-                required iff ``"packed" in REQUIRES`` (the BNN falls back
-                to ``operand`` when absent).
+                required iff ``"packed" in REQUIRES``; a predictor that
+                requires them raises ``ValueError`` without them.
             preacts: the true pre-activations ``(B, N)``.  Practical
                 predictors must ignore it; the oracle thresholds on it.
             operand: the raw concatenated operand ``(B, D)`` — required
@@ -87,8 +88,9 @@ class GatePredictor(ABC):
                 on the first timestep of a sequence.
 
         Returns:
-            Boolean reuse mask ``(B, N)``; all-False on the first call
-            after :meth:`begin_sequence` (nothing is memoized yet).
+            A new boolean reuse mask ``(B, N)``, which the caller may
+            keep; all-False on the first call after
+            :meth:`begin_sequence` (nothing is memoized yet).
         """
 
 
@@ -129,15 +131,19 @@ class BNNGatePredictor(GatePredictor):
     State per neuron (Equations 12-17):
 
     - ``y_b_m`` — memoized binary output (updated only on full evals),
-    - ``delta`` — accumulated relative binary change since the last full
-      evaluation.  With ``throttle=False`` the accumulator is replaced by
-      the instantaneous ``epsilon`` (the ablation of Figure 11).
+      kept as the int32 array :meth:`BinaryGate.evaluate_packed` returns;
+    - ``delta`` — float64 accumulated relative binary change since the
+      last full evaluation.  With ``throttle=False`` the accumulator is
+      replaced by the instantaneous ``epsilon`` (the ablation of
+      Figure 11).
 
     The engine feeds :meth:`predict_many` pre-packed uint64 sign words,
-    so the binary mirror is a XNOR/popcount over whole gate phases.  Given
-    the raw ``operand`` instead, the mirror is the ±1 matmul
-    (:meth:`repro.core.bnn.BinaryGate.evaluate_operand`), the reference
-    the engine's equivalence tests compare the popcount kernel against.
+    so the binary mirror is a XNOR/popcount over whole gate phases.  The
+    decision stays integer up to one float64 divide, then updates its
+    state with multiplies by the reuse mask: no inverted mask, no masked
+    copy and no per-element branch.  Its scratch buffers live on the
+    predictor, which one engine wrapper owns and never shares across
+    threads.
     """
 
     REQUIRES = frozenset({"packed"})
@@ -155,12 +161,13 @@ class BNNGatePredictor(GatePredictor):
         self.throttle = throttle
         self._y_b_m: Optional[Array] = None
         self._delta: Optional[Array] = None
-        self._scratch: Optional[Array] = None
+        self._diff: Optional[Array] = None
+        self._change: Optional[Array] = None
+        self._denom: Optional[Array] = None
+        self._epsilon: Optional[Array] = None
 
     def begin_sequence(self, batch: int) -> None:
         self._y_b_m = None
-        self._delta = None
-        self._scratch = None
 
     def predict_many(
         self,
@@ -170,37 +177,47 @@ class BNNGatePredictor(GatePredictor):
         operand: Optional[Array] = None,
         memo: Optional[Array] = None,
     ) -> Array:
-        if packed_signs is not None:
-            y_b = self.gate.evaluate_packed(packed_signs)
-        elif operand is not None:
-            y_b = self.gate.evaluate_operand(operand)
-        else:
-            raise ValueError("BNN prediction requires packed signs or the operand")
-        if self._y_b_m is None:
-            self._y_b_m = y_b.astype(np.float64)
+        if packed_signs is None:
+            raise ValueError("BNN prediction requires packed signs")
+        y_b = self.gate.evaluate_packed(packed_signs)
+        y_b_m = self._y_b_m
+        if y_b_m is None:
+            self._y_b_m = y_b
             self._delta = np.zeros(y_b.shape)
-            self._scratch = np.empty(y_b.shape)
+            self._diff = np.empty(y_b.shape, dtype=np.int32)
+            self._change = np.empty(y_b.shape, dtype=np.int32)
+            self._denom = np.empty(y_b.shape, dtype=np.int32)
+            self._epsilon = np.empty(y_b.shape)
             return np.zeros(y_b.shape, dtype=bool)
 
         # Eq. 12: relative difference between current and memoized binary
-        # outputs.  The denominator is floored at 1 (binary outputs are
+        # outputs.  Numerator and denominator stay integer; one divide
+        # gives the same IEEE float64 quotient as dividing their float64
+        # casts.  The denominator is floored at 1 (binary outputs are
         # integers), which also makes an exact match yield exactly zero
         # change — a zero binary output cannot be compared relatively.
-        diff = np.subtract(y_b, self._y_b_m, out=self._scratch)
-        np.abs(diff, out=diff)
-        epsilon = diff / np.maximum(np.abs(y_b), 1)
+        diff = np.subtract(y_b, y_b_m, out=self._diff)
+        change = np.abs(diff, out=self._change)
+        denom = np.abs(y_b, out=self._denom)
+        np.maximum(denom, 1, out=denom)
+        epsilon = np.divide(change, denom, out=self._epsilon)
         # Eq. 13: throttling accumulates epsilon across consecutive reuses.
         if self.throttle:
             delta_candidate = np.add(self._delta, epsilon, out=self._delta)
         else:
             delta_candidate = epsilon
         reuse = delta_candidate <= self.theta  # Eq. 14
-        fresh = ~reuse
         # Eq. 15-17: full evaluations refresh the binary memo and clear
         # delta; reuses keep the memo and carry the accumulated delta.
-        np.copyto(self._y_b_m, y_b, where=fresh)
+        # ``y_b - reuse * (y_b - y_b_m)`` selects the integers exactly,
+        # without a per-element branch (``np.where`` runs one, and
+        # mispredicts it on unpredictable masks).  Delta is finite and
+        # non-negative, so multiplying by the mask writes the same +0.0
+        # a masked clear would.
+        np.multiply(diff, reuse, out=diff)
+        self._y_b_m = np.subtract(y_b, diff, out=y_b)
         if self.throttle:
-            np.copyto(self._delta, 0.0, where=fresh)
+            np.multiply(delta_candidate, reuse, out=delta_candidate)
         return reuse
 
 

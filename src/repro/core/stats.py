@@ -2,9 +2,10 @@
 
 ``ReuseStats`` counts, for every (layer, gate), how many neuron
 evaluations were skipped thanks to memoization — the paper's
-"computation reuse" percentage.  ``output_change_profile`` reproduces the
-measurement behind Figure 5: the relative change of each neuron's output
-between consecutive input elements.
+"computation reuse" percentage.  The engine records each gate phase's
+reuse mask with one call per timestep.  ``output_change_profile``
+reproduces the measurement behind Figure 5: the relative change of each
+neuron's output between consecutive input elements.
 """
 
 from __future__ import annotations
@@ -26,16 +27,30 @@ class ReuseStats:
     reused: Dict[Key, int] = field(default_factory=dict)
     total: Dict[Key, int] = field(default_factory=dict)
 
-    def record(self, layer: str, gate: str, reuse_mask: Array) -> None:
-        """Record one timestep's decisions for one gate.
+    def record(self, layer: str, gates: Tuple[str, ...], reuse_mask: Array) -> None:
+        """Record one timestep's decisions for one gate phase.
 
-        ``reuse_mask`` is a boolean array over (batch x neurons); every
-        entry is one potential neuron evaluation.
+        ``reuse_mask`` is a boolean ``(B, G*H)`` (or ``(G*H,)``) array
+        holding one ``H``-wide column block per gate of ``gates``, in
+        order; every entry is one potential neuron evaluation.  A
+        single gate is the phase ``(gate,)``.
         """
-        key = (layer, gate)
+        if isinstance(gates, str):
+            raise TypeError("gates must be a tuple of gate names, not a string")
         mask = np.asarray(reuse_mask, dtype=bool)
-        self.reused[key] = self.reused.get(key, 0) + int(mask.sum())
-        self.total[key] = self.total.get(key, 0) + int(mask.size)
+        width, remainder = divmod(mask.shape[-1], len(gates))
+        if remainder:
+            raise ValueError(
+                f"a {mask.shape[-1]}-wide mask does not split into "
+                f"{len(gates)} gate blocks"
+            )
+        evaluations = mask.size // len(gates)
+        reused, total = self.reused, self.total
+        for k, gate in enumerate(gates):
+            key = (layer, gate)
+            block = mask[..., k * width : (k + 1) * width]
+            reused[key] = reused.get(key, 0) + int(np.count_nonzero(block))
+            total[key] = total.get(key, 0) + evaluations
 
     def reset(self) -> None:
         self.reused.clear()
@@ -134,18 +149,20 @@ class ThreadSafeReuseStats(ReuseStats):
     ``repro serve`` answers concurrent requests against one cumulative
     stats instance; the base class's read-modify-write counter updates
     would lose increments under that interleaving.  Every mutation and
-    the :meth:`snapshot` read are serialized on an internal lock.  The
-    lock is deliberately *not* part of the dataclass state: snapshots
-    and merges hand out plain :class:`ReuseStats` semantics.
+    the :meth:`snapshot` read are serialized on an internal lock, taken
+    once per recorded phase, so a snapshot never sees some gates of a
+    phase counted and others not.  The lock is deliberately *not* part
+    of the dataclass state: snapshots and merges hand out plain
+    :class:`ReuseStats` semantics.
     """
 
     def __init__(self):
         super().__init__()
         self._lock = threading.RLock()
 
-    def record(self, layer: str, gate: str, reuse_mask: Array) -> None:
+    def record(self, layer: str, gates: Tuple[str, ...], reuse_mask: Array) -> None:
         with self._lock:
-            super().record(layer, gate, reuse_mask)
+            super().record(layer, gates, reuse_mask)
 
     def merge(self, other: "ReuseStats") -> None:
         with self._lock:
@@ -174,12 +191,15 @@ class DetailedReuseStats(ReuseStats):
         super().__init__()
         self.masks: Dict[Key, List[Array]] = {}
 
-    def record(self, layer: str, gate: str, reuse_mask: Array) -> None:
-        super().record(layer, gate, reuse_mask)
+    def record(self, layer: str, gates: Tuple[str, ...], reuse_mask: Array) -> None:
+        super().record(layer, gates, reuse_mask)
         mask = np.asarray(reuse_mask, dtype=bool)
         if mask.ndim == 1:
             mask = mask[None, :]
-        self.masks.setdefault((layer, gate), []).append(mask.copy())
+        width = mask.shape[-1] // len(gates)
+        for k, gate in enumerate(gates):
+            block = mask[:, k * width : (k + 1) * width]
+            self.masks.setdefault((layer, gate), []).append(block.copy())
 
     def reset(self) -> None:
         super().reset()

@@ -18,12 +18,14 @@ Array = np.ndarray
 
 def _sigmoid_forward(x: Array) -> Array:
     # Numerically stable evaluation: exp() is only taken of non-positive
-    # arguments so it can never overflow.  Branchless form — both halves
-    # are evaluated everywhere and selected per element, which is far
-    # cheaper than boolean fancy indexing on the hot inference path and
-    # computes the same exp/divide per element (bitwise identical).
+    # arguments so it can never overflow.  No boolean indexing: the
+    # numerator (1 for x >= 0, exp(-|x|) otherwise) is selected per
+    # element, then one add and one divide run for every element.  Each
+    # element sees the same IEEE operations as ``1 / (1 + e)`` or
+    # ``e / (1 + e)``, so the result is bitwise identical to evaluating
+    # both fractions and selecting.
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _softmax_forward(x: Array) -> Array:

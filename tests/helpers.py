@@ -1,12 +1,15 @@
 """Shared test utilities: finite-difference gradient checking, the
 per-gate float64 reference the stacked cells are compared against, and
-the per-gate memoization reference the engine is compared against."""
+the per-gate memoization reference (with its own Eq. 12-17 BNN
+predictor) the engine is compared against."""
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
 import numpy as np
+
+from repro.core.predictors import BNNGatePredictor
 
 Array = np.ndarray
 
@@ -238,6 +241,63 @@ def reference_layer(layer, x: Array, grad_out: Array):
     return out, d_x, {f"cell.{k}": v for k, v in grads.items()}
 
 
+class ReferenceBNNPredictor:
+    """Eq. 12-17 reference for :class:`~repro.core.predictors.BNNGatePredictor`.
+
+    Shares no code with the engine's predictor:
+
+    - the binary mirror is the ±1 int32 matmul of the signs of
+      ``[W_x | W_h]`` and of the operand ``[x ; h]``, not the packed
+      popcount kernel;
+    - the decision (:meth:`decide`) keeps the binary memo and ``delta``
+      in float64 and updates them with an inverted mask and masked
+      copies, where the engine's stays integer up to one divide and
+      updates by multiplying with the mask.
+
+    It consumes the raw operand, so a hook passes ``operand=``.
+    """
+
+    REQUIRES = frozenset({"operand"})
+
+    def __init__(self, w_x: Array, w_h: Array, theta: float, throttle: bool = True):
+        weights = np.concatenate([w_x, w_h], axis=1)
+        self.signs = np.where(weights >= 0, 1, -1).astype(np.int32)
+        self.theta = theta
+        self.throttle = throttle
+        self.y_b_m = None
+        self.delta = None
+
+    def begin_sequence(self, batch: int) -> None:
+        self.y_b_m = None
+        self.delta = None
+
+    def mirror(self, operand: Array) -> Array:
+        """Eq. 8: the integer dot product of the ±1 signs, ``(B, N)``."""
+        return np.where(operand >= 0, 1, -1).astype(np.int32) @ self.signs.T
+
+    def decide(self, y_b: Array) -> Array:
+        """Eq. 12-17 on one timestep's integer binary outputs ``y_b``."""
+        if self.y_b_m is None:
+            self.y_b_m = y_b.astype(np.float64)
+            self.delta = np.zeros(y_b.shape)
+            return np.zeros(y_b.shape, dtype=bool)
+        epsilon = np.abs(y_b - self.y_b_m) / np.maximum(np.abs(y_b), 1)
+        if self.throttle:
+            self.delta += epsilon
+            candidate = self.delta
+        else:
+            candidate = epsilon
+        reuse = candidate <= self.theta
+        fresh = ~reuse
+        np.copyto(self.y_b_m, y_b, where=fresh)
+        if self.throttle:
+            np.copyto(self.delta, 0.0, where=fresh)
+        return reuse
+
+    def predict_many(self, packed_signs=None, *, preacts=None, operand=None, memo=None):
+        return self.decide(self.mirror(operand))
+
+
 class ReferenceHook:
     """Per-gate reference for :class:`~repro.core.layers.MemoizedRecurrentLayer`.
 
@@ -247,10 +307,11 @@ class ReferenceHook:
     its decision machinery:
 
     - one predictor per *gate* (the engine builds one per stacked phase);
-    - the BNN mirror gets the raw operand, so it runs the ±1
-      ``binary_dot`` matmul instead of the packed popcount kernel;
-    - the memo is a per-gate array updated with ``np.where`` instead of
-      a :class:`~repro.core.memo.MemoTable`.
+    - the BNN predictor is a :class:`ReferenceBNNPredictor`, with its own
+      ±1 matmul mirror and its own Eq. 12-17 decision;
+    - the memo is a per-gate array updated in place with ``np.where``
+      instead of a :class:`~repro.core.memo.MemoTable`;
+    - reuse is recorded gate by gate, not once per phase.
 
     The floats it decides on come from the cell's own arithmetic, issued
     the way the engine issues it: ``forward`` projects the inputs with
@@ -270,7 +331,12 @@ class ReferenceHook:
         self.predictors = {}
         for gate in layer.cell.gate_names:
             w_x, w_h, _ = layer.cell.gate_weights(gate)
-            self.predictors[gate] = predictor_factory(w_x, w_h)
+            predictor = predictor_factory(w_x, w_h)
+            if isinstance(predictor, BNNGatePredictor):
+                predictor = ReferenceBNNPredictor(
+                    w_x, w_h, predictor.theta, throttle=predictor.throttle
+                )
+            self.predictors[gate] = predictor
         self.memo = {}
 
     def on_gates(self, cell, phase, x, h, preacts):
@@ -286,7 +352,7 @@ class ReferenceHook:
             else:
                 block[...] = np.where(mask, memo, block)
             self.memo[gate] = block.copy()
-            self.stats.record(self.name, gate, mask)
+            self.stats.record(self.name, (gate,), mask)
         return preacts
 
     def start_state(self, batch: int):

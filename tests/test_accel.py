@@ -62,8 +62,8 @@ class TestTrace:
 
     def test_from_stats_projects_layers(self):
         stats = ReuseStats()
-        stats.record("a", "i", np.array([True, True, False, False]))  # 0.5
-        stats.record("b", "i", np.array([True, False, False, False]))  # 0.25
+        stats.record("a", ("i",), np.array([True, True, False, False]))  # 0.5
+        stats.record("b", ("i",), np.array([True, False, False, False]))  # 0.25
         spec = PAPER_NETWORKS["deepspeech2"]  # 5 layers
         trace = ReuseTrace.from_stats(stats, spec)
         assert trace.num_layers == 5

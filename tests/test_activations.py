@@ -46,6 +46,23 @@ class TestSigmoid:
         out = sigmoid(x)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
+    def test_bitwise_equal_to_two_divide_form(self):
+        """One divide per element gives the bits of selecting between
+        ``1 / (1 + e)`` and ``e / (1 + e)``, edge values included."""
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = np.array(
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 709.0, -709.0,
+             745.0, -745.0, 1e4, -1e4, np.inf, -np.inf, np.nan]
+        )
+        x = np.concatenate(
+            [edges, np.random.default_rng(3).standard_normal(200) * 30.0]
+        )
+        ex = np.exp(-np.abs(x))
+        two_divides = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+        np.testing.assert_array_equal(
+            sigmoid(x).view(np.uint64), two_divides.view(np.uint64)
+        )
+
     def test_grad_matches_numeric(self):
         x = np.linspace(-3, 3, 7)
         y = sigmoid(x)

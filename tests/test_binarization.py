@@ -124,6 +124,25 @@ class TestPackedPath:
         with pytest.raises(ValueError):
             binary_dot_packed(w.T, pack_signs(np.ones((2, 64))), 130)
 
+    @pytest.mark.parametrize(
+        "n_bits",
+        [bits for words in range(1, 10) for bits in (64 * words - 23, 64 * words)]
+        + [2000, 2048],  # MNMT's 32-word operands
+    )
+    def test_all_mismatch_and_all_match_are_exact(self, n_bits):
+        """The extreme counts: an operand holding each weight row's
+        complement mismatches every bit (-n_bits), the row itself none
+        (+n_bits).  Random bits average 32 mismatches per word, so only
+        these reach the most a popcount group has to hold."""
+        rng = np.random.default_rng(n_bits)
+        w = rng.standard_normal((5, n_bits))
+        w_words = pack_signs(w).T
+        flipped = np.where(w >= 0, -1.0, 1.0)
+        for operand, expected in ((flipped, -n_bits), (w, n_bits)):
+            dots = binary_dot_packed(w_words, pack_signs(operand), n_bits)
+            np.testing.assert_array_equal(np.diag(dots), np.full(5, expected))
+            np.testing.assert_array_equal(dots, binary_dot(binarize(w), binarize(operand)))
+
     @pytest.mark.parametrize("n_bits", [1, 64, 65, 200])
     def test_unpack_inverts_pack(self, n_bits):
         x = np.random.default_rng(n_bits).standard_normal((5, n_bits))

@@ -22,8 +22,8 @@ from repro.nn.rnn import RNNStack
 class TestDetailedStats:
     def test_masks_recorded_in_order(self):
         stats = DetailedReuseStats()
-        stats.record("l", "i", np.array([[True, False]]))
-        stats.record("l", "i", np.array([[False, False]]))
+        stats.record("l", ("i",), np.array([[True, False]]))
+        stats.record("l", ("i",), np.array([[False, False]]))
         assert stats.timesteps("l", "i") == 2
         np.testing.assert_array_equal(
             stats.masks[("l", "i")][0], [[True, False]]
@@ -31,18 +31,18 @@ class TestDetailedStats:
 
     def test_counts_still_aggregate(self):
         stats = DetailedReuseStats()
-        stats.record("l", "i", np.array([[True, False]]))
+        stats.record("l", ("i",), np.array([[True, False]]))
         assert stats.total_evaluations == 2
         assert stats.total_reused == 1
 
     def test_1d_masks_promoted(self):
         stats = DetailedReuseStats()
-        stats.record("l", "i", np.array([True, False]))
+        stats.record("l", ("i",), np.array([True, False]))
         assert stats.masks[("l", "i")][0].shape == (1, 2)
 
     def test_reset_clears_masks(self):
         stats = DetailedReuseStats()
-        stats.record("l", "i", np.array([[True]]))
+        stats.record("l", ("i",), np.array([[True]]))
         stats.reset()
         assert stats.timesteps("l", "i") == 0
 

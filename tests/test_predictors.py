@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binarization import pack_signs
 from repro.core.bnn import BinaryGate
@@ -11,6 +13,8 @@ from repro.core.predictors import (
     InputSimilarityGatePredictor,
     OracleGatePredictor,
 )
+
+from helpers import ReferenceBNNPredictor
 
 
 def make_gate(rng, neurons=6, e=4, r=5):
@@ -163,16 +167,39 @@ class TestBNNPredictor:
         assert throttled[:4] == [True, True, True, True]
         assert throttled[4] is False
 
+    @staticmethod
+    def second_step_reused(theta, widths, second_x):
+        """One all-+1-weight neuron over ``widths = (E, R)`` operand bits:
+        the first step's operand is all +1, the second's ``x`` part is
+        ``second_x`` (``h`` stays +1).  Returns the second step's reuse
+        decision."""
+        e, r = widths
+        gate = BinaryGate(np.ones((1, e)), np.ones((1, r)))
+        step = Stepper(BNNGatePredictor(gate, theta=theta), neurons=1)
+        step(np.array([[5.0]]), np.ones((1, e)), np.ones((1, r)))
+        _, mask = step(np.array([[7.0]]), np.asarray(second_x, float)[None], np.ones((1, r)))
+        return bool(mask[0, 0])
+
     def test_zero_binary_output_blocks_reuse(self):
         """A change to a zero binary output cannot be compared relatively
-        and must not be reused blindly."""
-        gate = BinaryGate(np.ones((1, 1)), np.ones((1, 1)))
-        step = Stepper(BNNGatePredictor(gate, theta=0.4), neurons=1)
-        # First step: operands (+1, +1) -> yb = 2.
-        step(np.array([[5.0]]), np.ones((1, 1)), np.ones((1, 1)))
-        # Second: operands (+1, -1) -> yb = 0; diff=2, denom floor 1 -> eps 2.
-        _, mask = step(np.array([[7.0]]), np.ones((1, 1)), -np.ones((1, 1)))
-        assert not mask.any()
+        and must not be reused blindly: Eq. 12's denominator floors at
+        exactly 1, so the step yb 2 -> 0 has epsilon 2."""
+        # Operands (+1, +1) -> yb = 2, then (-1, +1) -> yb = 0.
+        decisions = {
+            theta: self.second_step_reused(theta, (1, 1), [-1.0])
+            for theta in (0.4, 1.5, 2.0)
+        }
+        assert decisions == {0.4: False, 1.5: False, 2.0: True}
+
+    def test_unit_binary_output_divides_by_one(self):
+        """|yb| = 1 (an odd operand width) is its own denominator: the
+        step yb 3 -> 1 has epsilon 2, like the step to zero."""
+        # Operands (+1, +1, +1) -> yb = 3, then (+1, -1, +1) -> yb = 1.
+        decisions = {
+            theta: self.second_step_reused(theta, (2, 1), [1.0, -1.0])
+            for theta in (1.5, 2.0)
+        }
+        assert decisions == {1.5: False, 2.0: True}
 
     def test_delta_resets_after_full_eval(self, rng):
         gate = make_gate(rng, neurons=1, e=2, r=2)
@@ -239,13 +266,18 @@ class TestPredictMany:
         assert not mask.any()
 
     def test_bnn_packed_and_operand_paths_agree(self, rng):
-        """Feeding pre-packed sign words or the raw operand must walk the
-        predictor through the identical decision stream."""
+        """The predictor fed pre-packed sign words and the reference
+        (:class:`helpers.ReferenceBNNPredictor`) fed the raw operand must
+        walk through the identical decision stream."""
         operands = [rng.standard_normal((2, 9)) for _ in range(12)]
 
         def run(packed):
-            gate = make_gate(np.random.default_rng(29))
-            pred = BNNGatePredictor(gate, theta=0.3)
+            weights = np.random.default_rng(29)
+            w_x, w_h = weights.standard_normal((6, 4)), weights.standard_normal((6, 5))
+            if packed:
+                pred = BNNGatePredictor(BinaryGate(w_x, w_h), theta=0.3)
+            else:
+                pred = ReferenceBNNPredictor(w_x, w_h, theta=0.3)
             pred.begin_sequence(2)
             masks = []
             for operand in operands:
@@ -261,8 +293,10 @@ class TestPredictMany:
     def test_bnn_requires_some_operand_form(self, rng):
         pred = BNNGatePredictor(make_gate(rng), theta=0.3)
         pred.begin_sequence(1)
-        with pytest.raises(ValueError, match="packed signs or the operand"):
+        with pytest.raises(ValueError, match="packed signs"):
             pred.predict_many(preacts=np.ones((1, 6)))
+        with pytest.raises(ValueError, match="packed signs"):
+            pred.predict_many(operand=np.ones((1, 9)))
 
     def test_oracle_requires_preacts(self):
         pred = OracleGatePredictor(theta=0.3)
@@ -295,15 +329,83 @@ class TestPredictMany:
         drifted = base.copy()
         drifted[0, 0] = -1.0  # binary output 6: epsilon = 2/6 vs memo 8
         pred.begin_sequence(1)
-        pred.predict_many(operand=base)
-        first = pred.predict_many(operand=drifted)
-        second = pred.predict_many(operand=drifted)
+        pred.predict_many(pack_signs(base))
+        first = pred.predict_many(pack_signs(drifted))
+        second = pred.predict_many(pack_signs(drifted))
         # 1/3 <= 0.4 reuses; accumulated 2/3 > 0.4 forces the evaluation.
         assert first[0, 0]
         assert not second[0, 0]
         pred.begin_sequence(1)
-        assert not pred.predict_many(operand=base).any()  # state was cleared
-        assert pred.predict_many(operand=base).all()
+        assert not pred.predict_many(pack_signs(base)).any()  # state was cleared
+        assert pred.predict_many(pack_signs(base)).all()
+
+
+class _Replay:
+    """A stand-in binary gate whose ``evaluate_packed`` replays a stream
+    of integer binary outputs, so a test can choose ``y_b`` directly.
+    Each call returns a new array, as the popcount kernel does: the
+    predictor reuses it as its memo buffer."""
+
+    def __init__(self, stream):
+        self._stream = iter(stream)
+
+    def evaluate_packed(self, packed_signs):
+        return next(self._stream).copy()
+
+
+def binary_output_stream(seed, steps=16, shape=(3, 7)):
+    """Random int32 ``y_b`` streams: drifts, zeros and sign flips, at
+    magnitudes from 0 to a few hundred."""
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1, 10, 100], size=shape)
+    y_b = rng.integers(-3, 4, size=shape) * scale
+    stream = []
+    for _ in range(steps):
+        y_b = y_b + rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
+        y_b = np.where(rng.random(shape) < 0.15, -y_b, y_b)
+        y_b = np.where(rng.random(shape) < 0.1, 0, y_b)
+        stream.append(y_b.astype(np.int32))
+    return stream
+
+
+class TestReferenceDecision:
+    """The fused Eq. 12-17 decision equals the reference's float64
+    masked-copy decision bit for bit."""
+
+    @pytest.mark.parametrize("throttle", [True, False], ids=["throttle", "no-throttle"])
+    @pytest.mark.parametrize("theta", [0.0, 0.05, 0.3, 10.0])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_masks_and_delta_bitwise_equal(self, theta, throttle, seed):
+        stream = binary_output_stream(seed)
+        batch, neurons = stream[0].shape
+        shipped = BNNGatePredictor(_Replay(stream), theta, throttle=throttle)
+        reference = ReferenceBNNPredictor(
+            np.ones((neurons, 1)), np.ones((neurons, 1)), theta, throttle=throttle
+        )
+        shipped.begin_sequence(batch)
+        reference.begin_sequence(batch)
+        packed = np.zeros((batch, 1), dtype=np.uint64)
+        for y_b in stream:
+            mask = shipped.predict_many(packed)
+            expected = reference.decide(y_b)
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, expected)
+            np.testing.assert_array_equal(
+                shipped._delta.view(np.uint64), reference.delta.view(np.uint64)
+            )
+            np.testing.assert_array_equal(shipped._y_b_m, reference.y_b_m)
+
+    def test_streams_cover_zeros_flips_and_both_decisions(self):
+        """The property above meets zero outputs, sign flips, reuse and
+        full evaluations."""
+        stream = np.stack(binary_output_stream(7))
+        assert (stream == 0).any()
+        assert (np.sign(stream[1:]) * np.sign(stream[:-1]) < 0).any()
+        reference = ReferenceBNNPredictor(np.ones((7, 1)), np.ones((7, 1)), 0.3)
+        reference.begin_sequence(3)
+        masks = np.stack([reference.decide(y_b) for y_b in stream])
+        assert masks[1:].any() and not masks[1:].all()
 
 
 class TestDeprecationWarnings:

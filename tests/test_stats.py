@@ -21,37 +21,37 @@ class TestReuseStats:
 
     def test_record_counts(self):
         stats = ReuseStats()
-        stats.record("layer0", "i", np.array([[True, False], [True, True]]))
+        stats.record("layer0", ("i",), np.array([[True, False], [True, True]]))
         assert stats.total_evaluations == 4
         assert stats.total_reused == 3
         assert stats.reuse_fraction() == pytest.approx(0.75)
 
     def test_percent(self):
         stats = ReuseStats()
-        stats.record("l", "g", np.array([True, False]))
+        stats.record("l", ("g",), np.array([True, False]))
         assert stats.reuse_percent() == pytest.approx(50.0)
 
     def test_by_layer_and_gate(self):
         stats = ReuseStats()
-        stats.record("l0", "i", np.array([True, True]))
-        stats.record("l0", "f", np.array([False, False]))
-        stats.record("l1", "i", np.array([True, False]))
+        stats.record("l0", ("i",), np.array([True, True]))
+        stats.record("l0", ("f",), np.array([False, False]))
+        stats.record("l1", ("i",), np.array([True, False]))
         assert stats.by_layer() == {"l0": 0.5, "l1": 0.5}
         assert stats.by_gate()["i"] == pytest.approx(0.75)
         assert stats.by_gate()["f"] == 0.0
 
     def test_merge(self):
         a, b = ReuseStats(), ReuseStats()
-        a.record("l", "i", np.array([True]))
-        b.record("l", "i", np.array([False]))
-        b.record("m", "g", np.array([True]))
+        a.record("l", ("i",), np.array([True]))
+        b.record("l", ("i",), np.array([False]))
+        b.record("m", ("g",), np.array([True]))
         a.merge(b)
         assert a.total_evaluations == 3
         assert a.total_reused == 2
 
     def test_reset(self):
         stats = ReuseStats()
-        stats.record("l", "i", np.array([True]))
+        stats.record("l", ("i",), np.array([True]))
         stats.reset()
         assert stats.total_evaluations == 0
 
@@ -59,7 +59,7 @@ class TestReuseStats:
     @settings(max_examples=30, deadline=None)
     def test_fraction_bounds(self, flags):
         stats = ReuseStats()
-        stats.record("l", "i", np.array(flags))
+        stats.record("l", ("i",), np.array(flags))
         assert 0.0 <= stats.reuse_fraction() <= 1.0
 
     @given(
@@ -74,15 +74,52 @@ class TestReuseStats:
         """merge() over any split of the records equals one big record."""
         whole = ReuseStats()
         for flags in shards:
-            whole.record("l", "i", np.array(flags))
+            whole.record("l", ("i",), np.array(flags))
         merged = ReuseStats()
         for flags in shards:
             part = ReuseStats()
-            part.record("l", "i", np.array(flags))
+            part.record("l", ("i",), np.array(flags))
             merged.merge(part)
         assert merged.total == whole.total
         assert merged.reused == whole.reused
         assert merged.reuse_fraction() == whole.reuse_fraction()
+
+    def test_record_counts_each_gate_of_a_phase(self):
+        """One record call counts every gate's H-wide column block."""
+        stats = ReuseStats()
+        mask = np.array(
+            [[True, True, False, False, True, False],
+             [True, False, False, False, True, True]]
+        )
+        stats.record("l", ("z", "r", "g"), mask)
+        assert stats.reused == {("l", "z"): 3, ("l", "r"): 0, ("l", "g"): 3}
+        assert stats.total == {("l", "z"): 4, ("l", "r"): 4, ("l", "g"): 4}
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_phase_record_equals_per_gate_records(self, gates, rows, width, seed):
+        """Recording a phase once equals recording each gate's block."""
+        names = tuple("abcd"[:gates])
+        mask = np.random.default_rng(seed).random((rows, gates * width)) < 0.5
+        phase, per_gate = ReuseStats(), ReuseStats()
+        phase.record("l", names, mask)
+        for k, name in enumerate(names):
+            per_gate.record("l", (name,), mask[:, k * width : (k + 1) * width])
+        assert phase.reused == per_gate.reused
+        assert phase.total == per_gate.total
+
+    def test_gate_names_must_be_a_tuple(self):
+        with pytest.raises(TypeError, match="tuple"):
+            ReuseStats().record("l", "gate", np.ones((1, 4), dtype=bool))
+
+    def test_mask_must_split_into_gate_blocks(self):
+        with pytest.raises(ValueError, match="gate blocks"):
+            ReuseStats().record("l", ("i", "f"), np.ones((4, 5), dtype=bool))
 
 
 class TestDetailedReuseStats:
@@ -93,7 +130,7 @@ class TestDetailedReuseStats:
     def detailed(*masks, layer="l", gate="i"):
         stats = DetailedReuseStats()
         for mask in masks:
-            stats.record(layer, gate, np.array(mask))
+            stats.record(layer, (gate,), np.array(mask))
         return stats
 
     def test_record_stores_masks_and_counts(self):
@@ -139,7 +176,7 @@ class TestDetailedReuseStats:
     def test_merge_plain_stats_adds_counts_only(self):
         detailed = self.detailed([[True, False]])
         plain = ReuseStats()
-        plain.record("l", "i", np.array([[True, True]]))
+        plain.record("l", ("i",), np.array([[True, True]]))
         detailed.merge(plain)
         assert detailed.total_evaluations == 4
         assert detailed.total_reused == 3
@@ -151,6 +188,13 @@ class TestDetailedReuseStats:
         assert stats.total_evaluations == 0
         assert stats.timesteps("l", "i") == 0
         assert stats.masks == {}
+
+    def test_phase_record_keeps_per_gate_masks(self):
+        stats = DetailedReuseStats()
+        stats.record("l", ("z", "r"), np.array([[True, False, False, True]]))
+        np.testing.assert_array_equal(stats.masks[("l", "z")][0], [[True, False]])
+        np.testing.assert_array_equal(stats.masks[("l", "r")][0], [[False, True]])
+        assert stats.total_reused == 2
 
     def test_merge_separate_keys(self):
         a = self.detailed([[True]], layer="l0")
@@ -241,7 +285,7 @@ class TestThreadSafeReuseStats:
 
         def pound():
             for _ in range(per_thread):
-                stats.record("layer", "gate", mask)
+                stats.record("layer", ("gate",), mask)
 
         threads = [threading.Thread(target=pound) for _ in range(8)]
         for t in threads:
@@ -251,22 +295,50 @@ class TestThreadSafeReuseStats:
         assert stats.total_evaluations == 8 * per_thread * mask.size
         assert stats.total_reused == 8 * per_thread * mask.size
 
+    def test_snapshot_never_sees_half_a_phase(self):
+        """The lock is held across a whole phase: every gate of it is
+        counted in a snapshot, or none is."""
+        import threading
+
+        from repro.core.stats import ThreadSafeReuseStats
+
+        stats = ThreadSafeReuseStats()
+        gates = ("i", "f", "g", "o")
+        mask = np.ones((2, 4 * 64), dtype=bool)
+        done = threading.Event()
+
+        def pound():
+            for _ in range(300):
+                stats.record("layer", gates, mask)
+            done.set()
+
+        writer = threading.Thread(target=pound)
+        writer.start()
+        try:
+            while not done.is_set():
+                snap = stats.snapshot()
+                counts = {snap.total.get(("layer", gate), 0) for gate in gates}
+                assert len(counts) == 1, snap.total
+        finally:
+            writer.join()
+        assert stats.total_reused == 300 * mask.size
+
     def test_snapshot_is_detached(self):
         from repro.core.stats import ThreadSafeReuseStats
 
         stats = ThreadSafeReuseStats()
-        stats.record("layer", "i", np.array([[True, False]]))
+        stats.record("layer", ("i",), np.array([[True, False]]))
         snap = stats.snapshot()
         assert type(snap) is ReuseStats
-        stats.record("layer", "i", np.array([[True, True]]))
+        stats.record("layer", ("i",), np.array([[True, True]]))
         assert snap.total_evaluations == 2
         assert stats.total_evaluations == 4
-        snap.record("other", "o", np.array([[False]]))
+        snap.record("other", ("o",), np.array([[False]]))
         assert ("other", "o") not in stats.total
 
     def test_plain_snapshot_matches_base(self):
         stats = ReuseStats()
-        stats.record("a", "g", np.array([[True, False, False]]))
+        stats.record("a", ("g",), np.array([[True, False, False]]))
         snap = stats.snapshot()
         assert snap.reused == stats.reused
         assert snap.total == stats.total
@@ -277,7 +349,7 @@ class TestThreadSafeReuseStats:
 
         stats = ThreadSafeReuseStats()
         other = ReuseStats()
-        other.record("a", "g", np.array([[True]]))
+        other.record("a", ("g",), np.array([[True]]))
         stats.merge(other)
         assert stats.total_evaluations == 1
         stats.reset()
