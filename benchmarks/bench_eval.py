@@ -29,10 +29,12 @@ Workload notes:
   is depth-independent, so the ratio is representative of the full
   stack.
 - Weights are freshly initialised, not trained: the functional
-  simulator's cost per timestep does not depend on weight values (reuse
-  substitution is a masked copy either way), so the cost — the quantity
-  this bench pins — is measured faithfully.  Quality under memoization
-  is pinned elsewhere (golden suite, figure benches).
+  simulator's cost per timestep barely depends on weight values (reuse
+  substitution is one ``np.where`` select either way, whose per-element
+  branch costs somewhat more on a hard-to-predict reuse mask), so the
+  cost — the quantity this bench pins — is measured faithfully.
+  Quality under memoization is pinned elsewhere (golden suite, figure
+  benches).
 - ``REPRO_BENCH_EVAL_MAX_OVERHEAD`` overrides the final assertion's
   per-network ``overhead_ratio`` ceiling (default 2.5; raise it on a
   noisy host).

@@ -54,7 +54,9 @@ from repro.core.predictors import (
     OracleGatePredictor,
 )
 from repro.core.stats import (
+    BlockReuseRecorder,
     DetailedReuseStats,
+    ReuseRecorder,
     ReuseStats,
     output_change_profile,
     profile_summary,
@@ -63,6 +65,7 @@ from repro.core.stats import (
 
 __all__ = [
     "BNNGatePredictor",
+    "BlockReuseRecorder",
     "DetailedReuseStats",
     "LinearQuantizer",
     "quantize_fp16",
@@ -75,6 +78,7 @@ __all__ = [
     "MemoizationScheme",
     "MemoizedRecurrentLayer",
     "OracleGatePredictor",
+    "ReuseRecorder",
     "ReuseStats",
     "SweepPoint",
     "ThresholdSweep",

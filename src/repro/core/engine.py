@@ -10,6 +10,18 @@ exit.  Model evaluation code does not change at all::
     with memoized(model, MemoizationScheme(theta=0.05), stats):
         metric = evaluate(model, test_set)
     print(stats.reuse_percent())
+
+A *stack* of schemes evaluates several thresholds in one pass: the batch
+is ``len(schemes)`` blocks of ``rows`` rows, block ``k`` runs under
+``schemes[k]``, and a :class:`~repro.core.stats.BlockReuseRecorder`
+counts each block into its own stats.  No row reads another row (every
+predictor's state is per row), so each block decides what it would
+alone::
+
+    blocks = [ReuseStats() for _ in schemes]
+    recorder = BlockReuseRecorder(blocks, rows=len(test_set))
+    with memoized(model, schemes, recorder, rows=len(test_set)):
+        outputs = model(np.tile(test_set, (len(schemes), 1)))
 """
 
 from __future__ import annotations
@@ -17,7 +29,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,8 +41,9 @@ from repro.core.predictors import (
     GatePredictor,
     InputSimilarityGatePredictor,
     OracleGatePredictor,
+    Threshold,
 )
-from repro.core.stats import ReuseStats
+from repro.core.stats import ReuseRecorder, ReuseStats
 from repro.nn.module import Module
 
 Array = np.ndarray
@@ -95,23 +109,28 @@ class MemoizationScheme:
             return self.theta
         return self.layer_thetas.get(layer_name, self.theta)
 
-    def make_predictor(self, w_x: Array, w_h: Array) -> GatePredictor:
+    def make_predictor(
+        self, w_x: Array, w_h: Array, theta: Optional[Threshold] = None
+    ) -> GatePredictor:
         """Build the predictor for a gate (or stacked gate phase).
 
         The engine passes the stacked weights of a whole phase; the
-        predictor covers ``w_x.shape[0]`` neurons.
+        predictor covers ``w_x.shape[0]`` neurons.  ``theta`` overrides
+        the scheme's threshold, with a scalar or with one threshold per
+        batch row (a stacked evaluation).
 
         Raises:
             ValueError: if ``predictor`` is not in :data:`PREDICTOR_KINDS`
                 (defensive re-check; construction already validates).
         """
+        theta = self.theta if theta is None else theta
         if self.predictor == "oracle":
-            return OracleGatePredictor(self.theta)
+            return OracleGatePredictor(theta)
         if self.predictor == "input":
-            return InputSimilarityGatePredictor(self.theta, neurons=w_x.shape[0])
+            return InputSimilarityGatePredictor(theta, neurons=w_x.shape[0])
         if self.predictor == "bnn":
             gate = BinaryGate(w_x, w_h)
-            return BNNGatePredictor(gate, self.theta, throttle=self.throttle)
+            return BNNGatePredictor(gate, theta, throttle=self.throttle)
         raise ValueError(
             f"predictor must be one of {PREDICTOR_KINDS}, got "
             f"{self.predictor!r}"
@@ -146,12 +165,65 @@ def iter_recurrent_layers(model: Module) -> Iterator[Tuple[object, str]]:
         yield layer, dotted
 
 
+#: One scheme, or a stack of schemes evaluated as row blocks of one batch.
+Schemes = Union[MemoizationScheme, Sequence[MemoizationScheme]]
+
+
+def scheme_stack(
+    scheme: Schemes, rows: Optional[int] = None
+) -> List[MemoizationScheme]:
+    """The schemes of a (possibly one-scheme) stack, validated.
+
+    Every scheme of a stack shares the predictor kind and the throttle
+    setting; only the thresholds may differ.  A stack of more than one
+    scheme needs ``rows``, the number of batch rows per block.
+
+    Raises:
+        ValueError: on an empty stack, schemes that disagree on
+            ``predictor`` or ``throttle``, or a missing or negative
+            ``rows``.
+    """
+    schemes = [scheme] if isinstance(scheme, MemoizationScheme) else list(scheme)
+    if not schemes:
+        raise ValueError("a scheme stack needs at least one scheme")
+    first = schemes[0]
+    if any(
+        (s.predictor, s.throttle) != (first.predictor, first.throttle)
+        for s in schemes
+    ):
+        raise ValueError("stacked schemes must share predictor and throttle")
+    if len(schemes) > 1 and (rows is None or rows < 0):
+        raise ValueError("a stack of schemes needs rows >= 0 per block")
+    return schemes
+
+
+def layer_threshold(
+    schemes: Sequence[MemoizationScheme], rows: Optional[int], layer_name: str
+) -> Threshold:
+    """The threshold one layer's predictors compare against.
+
+    One scheme gives its scalar threshold for the layer.  A stack gives
+    one threshold per batch row: ``rows`` copies of each scheme's
+    threshold for the layer, in stack order.
+    """
+    thetas = [s.theta_for(layer_name) for s in schemes]
+    if len(thetas) == 1:
+        return thetas[0]
+    return np.repeat(thetas, rows)
+
+
 def apply_memoization(
-    model: Module, scheme: MemoizationScheme, stats: ReuseStats
+    model: Module, scheme: Schemes, stats: ReuseRecorder, rows: Optional[int] = None
 ) -> List[_Replacement]:
     """Swap every recurrent layer in ``model`` for a memoized wrapper.
 
     Returns the replacement records needed by :func:`restore`.
+
+    ``scheme`` is one scheme, or a stack of them (see
+    :func:`scheme_stack`) evaluated as ``len(scheme)`` blocks of
+    ``rows`` batch rows each.  ``stats`` is anything with
+    :meth:`ReuseStats.record`'s signature; a stack records through a
+    :class:`~repro.core.stats.BlockReuseRecorder`.
 
     The walk is atomic: if wrapping any layer fails (a bad per-layer
     threshold, a predictor construction error), every layer already
@@ -159,13 +231,18 @@ def apply_memoization(
     application never leaves the model half-memoized.
 
     Raises:
-        ValueError: if the model contains no recurrent layers.
+        ValueError: if the model contains no recurrent layers, or on an
+            invalid stack.
     """
+    schemes = scheme_stack(scheme, rows)
     replacements: List[_Replacement] = []
     try:
         for parent, attr, layer, dotted in _iter_recurrent_children(model):
-            layer_scheme = scheme.with_theta(scheme.theta_for(dotted))
-            wrapper = wrap_layer(layer, layer_scheme.make_predictor, stats, name=dotted)
+            factory = partial(
+                schemes[0].make_predictor,
+                theta=layer_threshold(schemes, rows, dotted),
+            )
+            wrapper = wrap_layer(layer, factory, stats, name=dotted)
             replacements.append(_Replacement(parent, attr, layer))
             # The wrapper is not a Module; remove the child registration so
             # parameter traversal still sees the original weights through the
@@ -232,13 +309,17 @@ def swap_scheme(
 
 
 @contextmanager
-def memoized(model: Module, scheme: MemoizationScheme, stats: ReuseStats):
+def memoized(
+    model: Module, scheme: Schemes, stats: ReuseRecorder, rows: Optional[int] = None
+):
     """Context manager: run ``model`` under fuzzy memoization.
 
     Within the block every recurrent layer routes its gate dot products
     through the scheme's predictor and records decisions into ``stats``.
+    A stack of schemes (with ``rows`` per block) is applied as
+    :func:`apply_memoization` describes.
     """
-    replacements = apply_memoization(model, scheme, stats)
+    replacements = apply_memoization(model, scheme, stats, rows)
     try:
         yield stats
     finally:

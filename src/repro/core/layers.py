@@ -7,7 +7,7 @@ engine's :class:`~repro.nn.cells.MemoHook`: the cell's ``step_hooked``
 offers each gate phase's batched ``(B, G*H)`` pre-activation matrix, the
 hook decides reuse for all gates and neurons at once, substitutes
 memoized values, and records the phase's decisions into a
-:class:`~repro.core.stats.ReuseStats` with one call.
+:class:`~repro.core.stats.ReuseRecorder` with one call.
 
 A forward projects the whole input sequence once
 (:meth:`~repro.nn.cells.GatedCell.project_inputs`), exactly as the plain
@@ -35,7 +35,7 @@ from repro.core.binarization import pack_signs
 from repro.obs import profiler as _profiler
 from repro.core.memo import MemoTable
 from repro.core.predictors import GatePredictor
-from repro.core.stats import ReuseStats
+from repro.core.stats import ReuseRecorder
 from repro.nn.cells import GatedCell, GatePhase
 from repro.nn.gru import GRULayer
 from repro.nn.lstm import LSTMLayer
@@ -59,7 +59,7 @@ class MemoizedRecurrentLayer:
         self,
         layer,
         predictor_factory: PredictorFactory,
-        stats: ReuseStats,
+        stats: ReuseRecorder,
         name: str = "rnn",
     ):
         self.layer = layer
@@ -146,7 +146,15 @@ class MemoizedRecurrentLayer:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, cache: bool = False) -> Array:
+        """Memoized full-sequence forward, ``(B, T, E) -> (B, T, H)``.
+
+        Takes the wrapped layer's ``cache`` flag so stacks can pass it
+        through, but memoized evaluation is inference only: there is no
+        BPTT cache to keep.
+        """
+        if cache:
+            raise ValueError("a memoized layer keeps no BPTT cache")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, E) input, got shape {x.shape}")
@@ -174,7 +182,7 @@ WRAPPABLE = (LSTMLayer, GRULayer, RNNLayer)
 def wrap_layer(
     layer,
     predictor_factory: PredictorFactory,
-    stats: ReuseStats,
+    stats: ReuseRecorder,
     name: str,
 ) -> MemoizedRecurrentLayer:
     """Wrap a recurrent layer in its memoized counterpart."""

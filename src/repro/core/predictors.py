@@ -28,7 +28,7 @@ state, while the memo tables live with the engine
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Union
 
 import numpy as np
 
@@ -39,6 +39,27 @@ Array = np.ndarray
 #: Relative-error floor: |denominator| values below this are treated as
 #: "output too small to compare", forcing a full evaluation.
 _DENOM_FLOOR = 1e-12
+
+#: A reuse threshold: one scalar, or one value per batch row.
+Threshold = Union[float, Array]
+
+
+def _check_theta(theta: Threshold, column: bool) -> Threshold:
+    """Validate a threshold; return it in the shape the decision compares.
+
+    A scalar is kept as is.  Per-row thresholds (a stacked evaluation,
+    see :func:`repro.core.engine.apply_memoization`) become a float64
+    ``(R, 1)`` column when ``column`` is set, to compare against an
+    ``(R, N)`` decision, and an ``(R,)`` array otherwise.
+    """
+    if np.ndim(theta) == 0:
+        if theta < 0:
+            raise ValueError("theta must be non-negative")
+        return theta
+    rows = np.asarray(theta, dtype=np.float64)
+    if rows.ndim != 1 or not (rows >= 0).all():
+        raise ValueError("per-row thresholds must be non-negative, one per row")
+    return rows[:, None] if column else rows
 
 
 class GatePredictor(ABC):
@@ -60,7 +81,9 @@ class GatePredictor(ABC):
     #: Which operand forms :meth:`predict_many` consumes.
     REQUIRES: FrozenSet[str] = frozenset()
 
-    theta: float
+    #: The reuse threshold: a scalar, or one per batch row as an ``(R, 1)``
+    #: column (``(R,)`` for the input-similarity predictor).
+    theta: Threshold
 
     def begin_sequence(self, batch: int) -> None:
         """Clear decision state for a new batch of sequences; default no-op."""
@@ -103,10 +126,8 @@ class OracleGatePredictor(GatePredictor):
     the decision is a pure function of ``(preacts, memo)``.
     """
 
-    def __init__(self, theta: float):
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
-        self.theta = theta
+    def __init__(self, theta: Threshold):
+        self.theta = _check_theta(theta, column=True)
 
     def predict_many(
         self,
@@ -151,13 +172,11 @@ class BNNGatePredictor(GatePredictor):
     def __init__(
         self,
         binary_gate: BinaryGate,
-        theta: float,
+        theta: Threshold,
         throttle: bool = True,
     ):
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
         self.gate = binary_gate
-        self.theta = theta
+        self.theta = _check_theta(theta, column=True)
         self.throttle = throttle
         self._y_b_m: Optional[Array] = None
         self._delta: Optional[Array] = None
@@ -234,12 +253,10 @@ class InputSimilarityGatePredictor(GatePredictor):
 
     REQUIRES = frozenset({"operand"})
 
-    def __init__(self, theta: float, neurons: int):
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
+    def __init__(self, theta: Threshold, neurons: int):
         if neurons <= 0:
             raise ValueError("neurons must be positive")
-        self.theta = theta
+        self.theta = _check_theta(theta, column=False)
         self.neurons = neurons
         self._u_m: Optional[Array] = None
 

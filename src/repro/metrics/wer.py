@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-import numpy as np
-
 Token = object  # hashable token: str, int, ...
 
 
 def edit_distance(reference: Sequence[Token], hypothesis: Sequence[Token]) -> int:
     """Levenshtein distance (substitutions, insertions, deletions).
 
-    Runs in O(len(ref) * len(hyp)) with a two-row numpy DP table.
+    Runs in O(len(ref) * len(hyp)) with a two-row DP over Python lists:
+    at the token counts WER scores, per-element numpy reads and writes
+    cost more than the arithmetic they carry.
     """
     ref = list(reference)
     hyp = list(hypothesis)
@@ -25,18 +25,19 @@ def edit_distance(reference: Sequence[Token], hypothesis: Sequence[Token]) -> in
         return len(hyp)
     if not hyp:
         return len(ref)
-    previous = np.arange(len(hyp) + 1)
-    current = np.empty(len(hyp) + 1, dtype=np.int64)
+    previous = list(range(len(hyp) + 1))
     for i, ref_tok in enumerate(ref, start=1):
-        current[0] = i
-        # substitution cost vector for this reference token
-        subs = previous[:-1] + np.array(
-            [0 if ref_tok == h else 1 for h in hyp], dtype=np.int64
-        )
-        for j in range(1, len(hyp) + 1):
-            current[j] = min(subs[j - 1], previous[j] + 1, current[j - 1] + 1)
-        previous, current = current, previous
-    return int(previous[len(hyp)])
+        current = [i]
+        for j, hyp_tok in enumerate(hyp, start=1):
+            current.append(
+                min(
+                    previous[j - 1] + (0 if ref_tok == hyp_tok else 1),
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                )
+            )
+        previous = current
+    return previous[-1]
 
 
 def wer(

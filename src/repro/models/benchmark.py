@@ -16,27 +16,34 @@ unsharded run: no row's computation reads another row (predictor state
 is per row and decoders never couple rows), and both the quality metrics
 and the reuse counters reduce over exact integer sums.
 
-What sharding preserves, and what the shard tests and the golden suite
-verify, is the discrete result: predicted labels, decoded sequences,
-corpus quality and reuse counts.  The float activations behind them are
-not bitwise invariant under batch slicing, because a BLAS GEMM may round
-a row differently depending on how many rows it computes at once (with
-numpy 2.4.6 and OpenBLAS 0.3.31 a one-row LSTM forward differs from the
-same row inside a 4-row batch by up to 4e-16).  Differences of that size
-have not flipped a sign bit, a reuse decision or an output on any
-verified split.
+The same row independence lets a sweep's points share one pass:
+:meth:`Benchmark.evaluate_memoized_many` tiles a shard's rows once per
+scheme, runs the model once over the stacked blocks with each block
+compared against its own threshold, and splits predictions and reuse
+counts back into one result per scheme.
+
+What sharding and stacking preserve, and what the shard, stacking and
+golden tests verify, is the discrete result: predicted labels, decoded
+sequences, corpus quality and reuse counts.  The float activations
+behind them are not bitwise invariant under batch slicing or tiling,
+because a BLAS GEMM may round a row differently depending on how many
+rows it computes at once (with numpy 2.4.6 and OpenBLAS 0.3.31 a one-row
+LSTM forward differs from the same row inside a 4-row batch by up to
+4e-16, and tiling bench-scale deepspeech2's calibration rows 8x moves
+its activations by up to 5.1e-15).  Differences of that size have not
+flipped a sign bit, a reuse decision or an output on any verified split.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import MemoizationScheme, memoized
-from repro.core.stats import ReuseStats
+from repro.core.stats import BlockReuseRecorder, ReuseStats
 from repro.metrics.accumulators import MetricAccumulator
 from repro.models.specs import NetworkSpec
 from repro.nn.optim import Adam
@@ -71,6 +78,13 @@ def shard_indices(indices: Array, shard_index: int, shard_count: int) -> Array:
     """
     check_shard(shard_index, shard_count)
     return np.array_split(np.asarray(indices), shard_count)[shard_index]
+
+
+def split_blocks(outputs: Sequence, blocks: int) -> List[Sequence]:
+    """Split a stacked evaluation's per-row outputs into its ``blocks``
+    equal, consecutive row blocks."""
+    rows = len(outputs) // blocks
+    return [outputs[k * rows : (k + 1) * rows] for k in range(blocks)]
 
 
 def split_validation(
@@ -151,15 +165,21 @@ class Benchmark(ABC):
         """Batches for one training epoch."""
 
     @abstractmethod
-    def quality_accumulator(self, indices: Array) -> MetricAccumulator:
-        """Evaluate the rows in ``indices`` into a mergeable accumulator.
+    def quality_accumulators(
+        self, indices: Array, blocks: int
+    ) -> List[MetricAccumulator]:
+        """Evaluate ``blocks`` copies of the rows in ``indices`` in one pass.
 
-        The single evaluation primitive: whole-split quality is
-        ``quality_accumulator(all_indices).finalize()``, and a shard's
-        partial result is the same call on the shard's index subset.
-        Implementations must evaluate each row independently of the
-        others in the batch (no cross-row coupling) and must handle an
-        empty ``indices`` without invoking the model.
+        The single evaluation primitive.  It runs the model once over
+        ``np.tile(indices, blocks)`` and returns one mergeable
+        accumulator per row block, in block order.  Whole-split quality
+        is ``quality_accumulators(all_indices, 1)[0].finalize()``, and a
+        shard's partial result is the same call on the shard's index
+        subset.  Under a scheme stack (see
+        :meth:`evaluate_memoized_many`) block ``k`` runs under scheme
+        ``k``.  Implementations must evaluate each row independently of
+        the others in the batch (no cross-row coupling) and must handle
+        an empty ``indices`` without invoking the model.
         """
 
     @abstractmethod
@@ -185,7 +205,7 @@ class Benchmark(ABC):
 
     def evaluate(self) -> float:
         """Quality on the held-out split (metric per spec)."""
-        return self.quality_accumulator(self.eval_indices()).finalize()
+        return self.quality_accumulators(self.eval_indices(), 1)[0].finalize()
 
     def train(self, epochs: Optional[int] = None) -> TrainingLog:
         """Train to the base quality; idempotent re-training is allowed."""
@@ -222,6 +242,8 @@ class Benchmark(ABC):
     ) -> MemoizedResult:
         """Quality + reuse under a memoization scheme.
 
+        The one-scheme case of :meth:`evaluate_memoized_many`.
+
         Args:
             scheme: the memoization configuration to evaluate under.
             calibration: evaluate on the calibration split instead of
@@ -232,12 +254,42 @@ class Benchmark(ABC):
                 :func:`merge_shard_results`).  The default
                 :data:`WHOLE` is the whole split.
         """
+        return self.evaluate_memoized_many([scheme], calibration, shard)[0]
+
+    def evaluate_memoized_many(
+        self,
+        schemes: Sequence[MemoizationScheme],
+        calibration: bool = False,
+        shard: Shard = WHOLE,
+    ) -> List[MemoizedResult]:
+        """One result per scheme, from one memoized pass over the shard.
+
+        The shard's rows are tiled once per scheme and the model runs
+        once over the stack, block ``k`` under ``schemes[k]`` (see
+        :func:`repro.core.engine.apply_memoization`).  Each result
+        equals :meth:`evaluate_memoized` under its scheme alone: no row
+        reads another, and quality and reuse accumulate per block.  The
+        schemes must share ``predictor`` and ``throttle``.
+        """
         self.ensure_trained()
+        schemes = list(schemes)
         indices = shard_indices(self.eval_indices(calibration), *shard)
-        stats = ReuseStats()
-        with memoized(self.model, scheme, stats):
-            metric = self.quality_accumulator(indices)
-        if len(indices) == 0:
+        rows = len(indices)
+        blocks = [ReuseStats() for _ in schemes]
+        # One scheme records through ReuseStats.record and compares a
+        # scalar threshold: the unstacked evaluation, unchanged.
+        recorder = blocks[0] if len(schemes) == 1 else BlockReuseRecorder(blocks, rows)
+        with memoized(self.model, schemes, recorder, rows):
+            metrics = self.quality_accumulators(indices, len(schemes))
+        return [
+            self._memoized_result(metric, stats, rows)
+            for metric, stats in zip(metrics, blocks)
+        ]
+
+    def _memoized_result(
+        self, metric: MetricAccumulator, stats: ReuseStats, rows: int
+    ) -> MemoizedResult:
+        if rows == 0:
             # Empty shard (shard_count > split size): no local quality;
             # the merged result recomputes it from the summed statistics.
             # Any other finalize() failure is a real error and propagates.
@@ -252,19 +304,6 @@ class Benchmark(ABC):
             metric=metric,
             base_quality=self.base_quality,
         )
-
-    def sweep_fn(
-        self, scheme: MemoizationScheme, calibration: bool = False
-    ) -> Callable[[float], Tuple[float, float]]:
-        """Closure for :func:`repro.core.calibration.sweep_thresholds`."""
-
-        def evaluate(theta: float) -> Tuple[float, float]:
-            result = self.evaluate_memoized(
-                scheme.with_theta(theta), calibration=calibration
-            )
-            return result.quality_loss, result.reuse_fraction
-
-        return evaluate
 
 
 def merge_shard_results(

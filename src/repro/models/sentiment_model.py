@@ -61,7 +61,7 @@ class SentimentModel(Module):
     def compute_loss(self, batch: Tuple[Array, Array]) -> float:
         token_ids, labels = batch
         embedded = self.embedding(np.asarray(token_ids))
-        hidden = self.lstm(embedded)
+        hidden = self.lstm(embedded, cache=True)
         logits = self.classifier(hidden[:, -1, :])
         loss = self._loss(logits, np.asarray(labels))
         d_logits = self._loss.backward()

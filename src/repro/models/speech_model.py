@@ -93,7 +93,7 @@ class SpeechModel(Module):
 
     def compute_loss(self, batch: Tuple[Array, Array]) -> float:
         frames, frame_labels = batch
-        hidden = self.stack(np.asarray(frames, dtype=np.float64))
+        hidden = self.stack(np.asarray(frames, dtype=np.float64), cache=True)
         logits = self.classifier(hidden)
         loss = self._loss(logits, np.asarray(frame_labels))
         d_logits = self._loss.backward()

@@ -72,14 +72,14 @@ class TranslationModel(Module):
     def compute_loss(self, batch: Tuple[Array, Array, Array]) -> float:
         src_ids, dec_in_ids, dec_tgt_ids = batch
         embedded_src = self.src_embedding(np.asarray(src_ids))
-        enc_out = self.encoder(embedded_src)
+        enc_out = self.encoder(embedded_src, cache=True)
         context = enc_out[:, -1, :]
         embedded_tgt = self.tgt_embedding(np.asarray(dec_in_ids))
         steps = embedded_tgt.shape[1]
         dec_x = np.concatenate(
             [embedded_tgt, np.repeat(context[:, None, :], steps, axis=1)], axis=-1
         )
-        logits = self.output(self.decoder(dec_x))
+        logits = self.output(self.decoder(dec_x, cache=True))
         loss = self._loss(logits, np.asarray(dec_tgt_ids))
 
         d_logits = self._loss.backward()

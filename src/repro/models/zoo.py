@@ -23,7 +23,7 @@ from repro.metrics.accumulators import (
     BLEUAccumulator,
     WERAccumulator,
 )
-from repro.models.benchmark import Benchmark, split_validation
+from repro.models.benchmark import Benchmark, split_blocks, split_validation
 from repro.models.sentiment_model import SentimentModel
 from repro.models.specs import PAPER_NETWORKS, NetworkSpec
 from repro.models.speech_model import SpeechModel
@@ -78,15 +78,21 @@ class SentimentBenchmark(Benchmark):
             for idx in [self.train_idx[idx]]
         ]
 
-    def quality_accumulator(self, indices: Array) -> AccuracyAccumulator:
-        accumulator = AccuracyAccumulator()
+    def quality_accumulators(
+        self, indices: Array, blocks: int
+    ) -> List[AccuracyAccumulator]:
+        accumulators = [AccuracyAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
-            accumulator.update(
-                self.model.predict(self.dataset.tokens[indices]),
-                self.dataset.labels[indices],
+            predictions = self.model.predict(
+                self.dataset.tokens[np.tile(indices, blocks)]
             )
-        return accumulator
+            labels = self.dataset.labels[indices]
+            for accumulator, block in zip(
+                accumulators, split_blocks(predictions, blocks)
+            ):
+                accumulator.update(block, labels)
+        return accumulators
 
     def hidden_sequences(self) -> List[Array]:
         return self.model.collect_hidden(self.dataset.tokens[self.test_idx])
@@ -137,15 +143,21 @@ class _SpeechBenchmark(Benchmark):
             for idx in [self.train_idx[idx]]
         ]
 
-    def quality_accumulator(self, indices: Array) -> WERAccumulator:
-        accumulator = WERAccumulator()
+    def quality_accumulators(
+        self, indices: Array, blocks: int
+    ) -> List[WERAccumulator]:
+        accumulators = [WERAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
-            accumulator.update(
-                self.dataset.references(indices),
-                self.model.transcribe(self.dataset.features[indices]),
+            transcripts = self.model.transcribe(
+                self.dataset.features[np.tile(indices, blocks)]
             )
-        return accumulator
+            references = self.dataset.references(indices)
+            for accumulator, block in zip(
+                accumulators, split_blocks(transcripts, blocks)
+            ):
+                accumulator.update(references, block)
+        return accumulators
 
     def hidden_sequences(self) -> List[Array]:
         return self.model.collect_hidden(self.dataset.features[self.test_idx])
@@ -232,22 +244,27 @@ class TranslationBenchmark(Benchmark):
             batches.append((self.dataset.source[rows], dec_in, dec_tgt))
         return batches
 
-    def quality_accumulator(self, indices: Array) -> BLEUAccumulator:
-        accumulator = BLEUAccumulator()
+    def quality_accumulators(
+        self, indices: Array, blocks: int
+    ) -> List[BLEUAccumulator]:
+        accumulators = [BLEUAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
             # early_stop=False: each row must see a batch-independent
-            # number of decoder steps or shard merges would not reproduce
-            # the whole-split reuse statistics (see translate()).
+            # number of decoder steps or shard merges and stacked blocks
+            # would not reproduce the whole-split reuse statistics (see
+            # translate()).
             hypotheses = self.model.translate(
-                self.dataset.source[indices],
+                self.dataset.source[np.tile(indices, blocks)],
                 max_len=self.dataset.length + 2,
                 early_stop=False,
             )
-            accumulator.update(
-                list(self.dataset.references(indices)), hypotheses
-            )
-        return accumulator
+            references = list(self.dataset.references(indices))
+            for accumulator, block in zip(
+                accumulators, split_blocks(hypotheses, blocks)
+            ):
+                accumulator.update(references, block)
+        return accumulators
 
     def hidden_sequences(self) -> List[Array]:
         dec_in, _ = self.dataset.decoder_io(self.test_idx)

@@ -54,6 +54,11 @@ from repro.nn.module import Module, Parameter
 
 Array = np.ndarray
 
+#: Why a recurrent layer's ``backward`` refused to run.  A layer keeps
+#: its per-timestep BPTT caches only from a ``forward(..., cache=True)``,
+#: and the next forward or ``backward`` releases them.
+NO_CACHE = "backward needs the BPTT cache of the last forward(..., cache=True)"
+
 
 @dataclass(frozen=True)
 class GatePhase:

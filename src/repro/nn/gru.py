@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.activations import sigmoid, tanh
-from repro.nn.cells import GatedCell, GatePhase, MemoHook
+from repro.nn.cells import NO_CACHE, GatedCell, GatePhase, MemoHook
 from repro.nn.module import Module
 
 Array = np.ndarray
@@ -193,7 +193,10 @@ class GRULayer(Module):
         self.hidden_size = hidden_size
         self._caches: List[dict] = []
 
-    def forward(self, x: Array, h0: Optional[Array] = None) -> Array:
+    def forward(
+        self, x: Array, h0: Optional[Array] = None, cache: bool = False
+    ) -> Array:
+        """Full-sequence forward; ``cache=True`` keeps the BPTT cache."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, E) input, got shape {x.shape}")
@@ -203,8 +206,9 @@ class GRULayer(Module):
         outputs = np.empty((batch, steps, self.hidden_size))
         xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
-            self._caches.append(cache)
+            h, step_cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
+            if cache:
+                self._caches.append(step_cache)
             outputs[:, t, :] = h
         return outputs
 
@@ -231,14 +235,15 @@ class GRULayer(Module):
         return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
-        if not self._caches:
-            raise RuntimeError("backward called before forward")
+        caches, self._caches = self._caches, []
+        if not caches:
+            raise RuntimeError(NO_CACHE)
         batch = grad_out.shape[0]
-        steps = len(self._caches)
+        steps = len(caches)
         d_h = np.zeros((batch, self.hidden_size))
         d_x = np.empty((batch, steps, self.input_size))
         for t in reversed(range(steps)):
             d_h_total = d_h + grad_out[:, t, :]
-            d_x_t, d_h = self.cell.backward_step(d_h_total, self._caches[t])
+            d_x_t, d_h = self.cell.backward_step(d_h_total, caches[t])
             d_x[:, t, :] = d_x_t
         return d_x

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.nn.activations import sigmoid, tanh
-from repro.nn.cells import GatedCell, GatePhase, MemoHook
+from repro.nn.cells import NO_CACHE, GatedCell, GatePhase, MemoHook
 from repro.nn.initializers import zeros
 from repro.nn.module import Module, Parameter
 
@@ -27,7 +27,6 @@ Array = np.ndarray
 
 #: Gate evaluation order used everywhere (matmuls, memo buffers, traces).
 LSTM_GATES: Tuple[str, ...] = ("i", "f", "g", "o")
-
 
 class LSTMCell(GatedCell):
     """A single LSTM cell with optional peephole connections.
@@ -261,8 +260,13 @@ class LSTMLayer(Module):
         x: Array,
         h0: Optional[Array] = None,
         c0: Optional[Array] = None,
+        cache: bool = False,
     ) -> Array:
-        """Full-sequence forward; returns hidden states of shape (B, T, H)."""
+        """Full-sequence forward; returns hidden states of shape (B, T, H).
+
+        ``cache=True`` keeps every timestep's BPTT cache for
+        :meth:`backward`; inference leaves it off and keeps nothing.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, E) input, got shape {x.shape}")
@@ -273,8 +277,9 @@ class LSTMLayer(Module):
         outputs = np.empty((batch, steps, self.hidden_size))
         xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, c, cache = self.cell.step(x[:, t, :], xw[:, t, :], h, c)
-            self._caches.append(cache)
+            h, c, step_cache = self.cell.step(x[:, t, :], xw[:, t, :], h, c)
+            if cache:
+                self._caches.append(step_cache)
             outputs[:, t, :] = h
         return outputs
 
@@ -305,16 +310,18 @@ class LSTMLayer(Module):
         return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
-        """BPTT over the cached sequence; returns ``dL/dx`` (B, T, E)."""
-        if not self._caches:
-            raise RuntimeError("backward called before forward")
+        """BPTT over the cached sequence, releasing the cache; returns
+        ``dL/dx`` (B, T, E)."""
+        caches, self._caches = self._caches, []
+        if not caches:
+            raise RuntimeError(NO_CACHE)
         batch = grad_out.shape[0]
-        steps = len(self._caches)
+        steps = len(caches)
         d_h = np.zeros((batch, self.hidden_size))
         d_c = np.zeros((batch, self.hidden_size))
         d_x = np.empty((batch, steps, self.input_size))
         for t in reversed(range(steps)):
             d_h_total = d_h + grad_out[:, t, :]
-            d_x_t, d_h, d_c = self.cell.backward_step(d_h_total, d_c, self._caches[t])
+            d_x_t, d_h, d_c = self.cell.backward_step(d_h_total, d_c, caches[t])
             d_x[:, t, :] = d_x_t
         return d_x

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.nn.activations import tanh
-from repro.nn.cells import GatedCell, GatePhase, MemoHook
+from repro.nn.cells import NO_CACHE, GatedCell, GatePhase, MemoHook
 from repro.nn.gru import GRULayer
 from repro.nn.lstm import LSTMLayer
 from repro.nn.module import Module
@@ -116,7 +116,10 @@ class RNNLayer(Module):
         self.hidden_size = hidden_size
         self._caches: List[dict] = []
 
-    def forward(self, x: Array, h0: Optional[Array] = None) -> Array:
+    def forward(
+        self, x: Array, h0: Optional[Array] = None, cache: bool = False
+    ) -> Array:
+        """Full-sequence forward; ``cache=True`` keeps the BPTT cache."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3:
             raise ValueError(f"expected (B, T, E) input, got shape {x.shape}")
@@ -126,8 +129,9 @@ class RNNLayer(Module):
         outputs = np.empty((batch, steps, self.hidden_size))
         xw = self.cell.project_inputs(x)
         for t in range(steps):
-            h, cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
-            self._caches.append(cache)
+            h, step_cache = self.cell.step(x[:, t, :], xw[:, t, :], h)
+            if cache:
+                self._caches.append(step_cache)
             outputs[:, t, :] = h
         return outputs
 
@@ -150,15 +154,16 @@ class RNNLayer(Module):
         return self.cell.step_hooked(x_t, self.cell.project_inputs(x_t), state, hook=hook)
 
     def backward(self, grad_out: Array) -> Array:
-        if not self._caches:
-            raise RuntimeError("backward called before forward")
+        caches, self._caches = self._caches, []
+        if not caches:
+            raise RuntimeError(NO_CACHE)
         batch = grad_out.shape[0]
-        steps = len(self._caches)
+        steps = len(caches)
         d_h = np.zeros((batch, self.hidden_size))
         d_x = np.empty((batch, steps, self.input_size))
         for t in reversed(range(steps)):
             d_h_total = d_h + grad_out[:, t, :]
-            d_x_t, d_h = self.cell.backward_step(d_h_total, self._caches[t])
+            d_x_t, d_h = self.cell.backward_step(d_h_total, caches[t])
             d_x[:, t, :] = d_x_t
         return d_x
 
@@ -226,9 +231,10 @@ class Bidirectional(Module):
             RNNLayer(input_size, hidden_size, rng=rng),
         )
 
-    def forward(self, x: Array) -> Array:
-        out_f = self.fwd(x)
-        out_b = self.bwd(x[:, ::-1, :])[:, ::-1, :]
+    def forward(self, x: Array, cache: bool = False) -> Array:
+        """Both directions' hidden states; ``cache`` reaches both layers."""
+        out_f = self.fwd(x, cache=cache)
+        out_b = self.bwd(x[:, ::-1, :], cache=cache)[:, ::-1, :]
         return np.concatenate([out_f, out_b], axis=-1)
 
     __call__ = forward
@@ -267,10 +273,11 @@ class RNNStack(Module):
     def output_size(self) -> int:
         return _output_size(self.layers[-1])
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, cache: bool = False) -> Array:
+        """The last layer's output; ``cache`` reaches every layer."""
         out = x
         for layer in self.layers:
-            out = layer(out)
+            out = layer(out, cache=cache)
         return out
 
     __call__ = forward

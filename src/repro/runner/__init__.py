@@ -19,8 +19,11 @@ The unit of work is one shard of one point: every point payload names
 its ``(shard_index, shard_count)``, and the whole point is shard
 ``(0, 1)``.  ``run(..., shards=N)`` splits each point per-batch; every
 result carries a mergeable metric accumulator, and the shards reduce to
-the whole-point result.  Serial, parallel, queued, cached and sharded
-paths all produce bitwise identical results.
+the whole-point result.  The unit of evaluation is a group of points:
+:func:`evaluate_payloads` runs the points of one split and shard that
+differ only in ``theta`` as one memoized pass.  Serial, parallel,
+queued, cached, sharded and grouped paths all produce identical
+discrete results.
 """
 
 from repro.runner.backends import (
@@ -36,7 +39,7 @@ from repro.runner.backends import (
 )
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.runner.evaluate import (
-    evaluate_payload,
+    evaluate_payloads,
     evaluate_point,
     evaluate_task,
 )
@@ -100,7 +103,7 @@ __all__ = [
     "drain",
     "lease_owner",
     "read_token_file",
-    "evaluate_payload",
+    "evaluate_payloads",
     "evaluate_point",
     "evaluate_task",
     "job_from_payload",

@@ -2,16 +2,21 @@
 
 Four strategies behind one :class:`ExecutionBackend` contract:
 
-- :class:`SerialBackend` — in-process, one payload at a time (the
-  bitwise reference).
-- :class:`ProcessBackend` — a persistent local ``ProcessPoolExecutor``.
+- :class:`SerialBackend` — in-process, the whole batch in one call of
+  :func:`~repro.runner.evaluate.evaluate_payloads` (the reference).
+- :class:`ProcessBackend` — a persistent local ``ProcessPoolExecutor``
+  over contiguous chunks of the batch.
 - :class:`QueueBackend` — a file-based multi-host work queue drained by
   ``repro worker`` processes, with lease-based crash recovery.
 - :class:`HttpBackend` — the same work-queue protocol spoken to a
   ``repro coordinator`` over HTTP, for hosts that share no filesystem.
 
-All four produce bitwise-identical results for any jobs/shards
-combination; ``tests/test_backends.py`` enforces it.
+All four produce identical discrete results — quality, quality loss
+and per-(layer, gate) reuse counts — for any jobs/shards combination,
+however their payloads were grouped into memoized passes:
+``tests/test_backends.py`` compares the backends, and
+``tests/test_stacked_eval.py`` compares grouped points with points
+evaluated alone.
 """
 
 from __future__ import annotations

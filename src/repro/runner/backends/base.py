@@ -6,10 +6,14 @@ shard fan-out and merging, report accounting — stays in
 :class:`~repro.runner.parallel.ParallelRunner`, so adding a transport
 (threads, a remote RPC pool, a cloud batch service) means implementing
 one method.  All backends evaluate through
-:func:`repro.runner.evaluate.evaluate_point`, the single evaluation
-path, so every backend is bitwise-identical to every other by
-construction; the equivalence suite (``tests/test_backends.py``) locks
-that in.
+:func:`repro.runner.evaluate.evaluate_payloads`, the single evaluation
+path, which may group a batch's points into shared memoized passes.
+Every backend therefore returns the same discrete results — quality,
+quality loss and per-(layer, gate) reuse counts — as every other,
+though a row's floats may differ in their last bits with the batch it
+rides in.  ``tests/test_backends.py`` pins backend equivalence, and
+``tests/test_stacked_eval.py`` pins grouped points to points evaluated
+alone.
 """
 
 from __future__ import annotations

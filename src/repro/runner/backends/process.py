@@ -8,11 +8,26 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.models.benchmark import Benchmark
 from repro.runner.backends.base import ExecutionBackend
 from repro.runner.backends.serial import SerialBackend
-from repro.runner.evaluate import evaluate_point
+from repro.runner.evaluate import evaluate_payloads
+
+
+def contiguous_chunks(
+    items: Sequence[Mapping[str, object]], count: int
+) -> List[List[Mapping[str, object]]]:
+    """Split ``items`` into ``count`` contiguous runs whose sizes differ
+    by at most one (``np.array_split`` semantics)."""
+    size, extra = divmod(len(items), count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [list(items[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 class ProcessBackend(ExecutionBackend):
     """Fan payloads out over a lazily created ``ProcessPoolExecutor``.
+
+    A batch is cut into ``min(jobs, len(payloads))`` contiguous chunks,
+    one :func:`~repro.runner.evaluate.evaluate_payloads` call each, so a
+    sweep still fans out over ``jobs`` workers while the points that
+    share a chunk share a memoized pass.
 
     The pool is created on the first multi-payload batch and kept alive
     for the backend's lifetime: each worker's in-process zoo cache then
@@ -39,7 +54,12 @@ class ProcessBackend(ExecutionBackend):
     ) -> List[Dict[str, object]]:
         if self.jobs == 1 or len(payloads) <= 1:
             return self._serial.execute(payloads, benchmark)
-        return list(self._get_pool().map(evaluate_point, payloads))
+        chunks = contiguous_chunks(payloads, min(self.jobs, len(payloads)))
+        return [
+            result
+            for results in self._get_pool().map(evaluate_payloads, chunks)
+            for result in results
+        ]
 
     def workers_for(self, tasks: int) -> int:
         if self.jobs == 1 or tasks <= 1:

@@ -6,14 +6,15 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.models.benchmark import Benchmark
 from repro.runner.backends.base import ExecutionBackend
-from repro.runner.evaluate import evaluate_payload
-from repro.runner.job import result_to_payload
+from repro.runner.evaluate import evaluate_payloads
 
 
 class SerialBackend(ExecutionBackend):
-    """Evaluate every payload in this process, one after another.
+    """Evaluate every payload in this process.
 
-    The baseline every other backend must match bitwise.  Accepts the
+    The whole list goes to :func:`~repro.runner.evaluate.evaluate_payloads`,
+    so a sweep's points on one split and shard run as one memoized pass.
+    The reference every other backend must match.  Accepts the
     live-``benchmark`` hint, so a caller that already holds the trained
     model never pays a zoo rebuild.
     """
@@ -25,7 +26,4 @@ class SerialBackend(ExecutionBackend):
         payloads: Sequence[Mapping[str, object]],
         benchmark: Optional[Benchmark] = None,
     ) -> List[Dict[str, object]]:
-        return [
-            result_to_payload(evaluate_payload(payload, benchmark))
-            for payload in payloads
-        ]
+        return evaluate_payloads(payloads, benchmark)

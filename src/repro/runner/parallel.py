@@ -8,8 +8,8 @@ payloads, resolves as many as possible from the
 :class:`~repro.runner.backends.ExecutionBackend`: serial in-process,
 a local process pool, or the file-based multi-host work queue.  All
 backends evaluate through the same
-:func:`~repro.runner.evaluate.evaluate_point` path, so their results
-are bitwise identical to the serial baseline.
+:func:`~repro.runner.evaluate.evaluate_payloads` path, so their
+discrete results are identical to the serial baseline's.
 
 The unit of work is one shard of one point.  With ``shards=1`` that is
 the whole point, shard ``(0, 1)``, whose key is the point key.  With
@@ -29,13 +29,13 @@ from repro.core.calibration import ThresholdSweep
 from repro.models.benchmark import Benchmark, MemoizedResult, merge_shard_results
 from repro.models.specs import PAPER_NETWORKS
 from repro.runner.backends import ExecutionBackend, ProcessBackend, SerialBackend
-from repro.runner.evaluate import evaluate_payload, evaluate_point
+from repro.runner.evaluate import evaluate_payloads, evaluate_point
 from repro.runner.job import SweepJob, result_from_payload, result_to_payload
 
 __all__ = [
     "ParallelRunner",
     "RunReport",
-    "evaluate_payload",
+    "evaluate_payloads",
     "evaluate_point",
 ]
 

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, the
-per-gate float64 reference the stacked cells are compared against, and
-the per-gate memoization reference (with its own Eq. 12-17 BNN
-predictor) the engine is compared against."""
+per-gate float64 reference the stacked cells are compared against, the
+per-gate memoization reference (with its own Eq. 12-17 BNN predictor)
+the engine is compared against, and the numpy edit-distance DP that
+:func:`repro.metrics.wer.edit_distance` is compared against."""
 
 from __future__ import annotations
 
@@ -364,7 +365,8 @@ class ReferenceHook:
     def step(self, x_t: Array, state):
         return self.layer.step(x_t, state, hook=self)
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, cache: bool = False) -> Array:
+        assert not cache, "the reference hook is inference only"
         x = np.asarray(x, dtype=np.float64)
         batch, steps, _ = x.shape
         cell = self.layer.cell
@@ -378,3 +380,26 @@ class ReferenceHook:
         return outputs
 
     __call__ = forward
+
+
+def reference_edit_distance(reference, hypothesis) -> int:
+    """Levenshtein distance by a two-row numpy DP, the reference for
+    :func:`repro.metrics.wer.edit_distance`'s Python-list DP."""
+    ref = list(reference)
+    hyp = list(hypothesis)
+    if not ref:
+        return len(hyp)
+    if not hyp:
+        return len(ref)
+    previous = np.arange(len(hyp) + 1)
+    current = np.empty(len(hyp) + 1, dtype=np.int64)
+    for i, ref_tok in enumerate(ref, start=1):
+        current[0] = i
+        # substitution cost vector for this reference token
+        subs = previous[:-1] + np.array(
+            [0 if ref_tok == h else 1 for h in hyp], dtype=np.int64
+        )
+        for j in range(1, len(hyp) + 1):
+            current[j] = min(subs[j - 1], previous[j] + 1, current[j - 1] + 1)
+        previous, current = current, previous
+    return int(previous[len(hyp)])

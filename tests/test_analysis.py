@@ -64,6 +64,8 @@ class TestNetworkSweep:
         )
         assert sweep.thetas == [0.0, 0.3, 0.6]
         assert all(r >= 0.0 for r in sweep.reuses)
+        assert all(loss >= 0.0 for loss in sweep.losses)
+        assert all(0.0 <= r <= 1.0 for r in sweep.reuses)
         # Reuse grows (weakly) with theta.
         assert sweep.reuses[0] <= sweep.reuses[-1] + 1e-9
 

@@ -99,7 +99,7 @@ class TestLayerGradients:
         def loss(v):
             return float(np.sum(layer.forward(v) * probe))
 
-        layer.forward(x)
+        layer.forward(x, cache=True)
         analytic = layer.backward(probe)
         assert_grad_close(analytic, numeric_grad(loss, x), rtol=1e-3, atol=1e-6)
 
@@ -118,7 +118,7 @@ class TestLayerGradients:
             param.value[rows] = saved
             return out
 
-        layer.forward(x)
+        layer.forward(x, cache=True)
         layer.backward(probe)
         assert_grad_close(
             param.grad[rows],

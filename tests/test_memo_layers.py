@@ -88,6 +88,17 @@ class TestMemoizedLSTM:
         with pytest.raises(ValueError):
             wrapped(rng.standard_normal((6, 8)))
 
+    def test_keeps_no_bptt_cache(self, rng):
+        """Memoized evaluation is inference only: ``cache=False`` passes
+        through as stacks hand it down, ``cache=True`` is refused."""
+        wrapped = MemoizedRecurrentLayer(
+            LSTMLayer(6, 8, rng=rng), make_scheme().make_predictor, ReuseStats()
+        )
+        x = smooth_inputs(rng)
+        assert wrapped(x, cache=False).shape == (2, 20, 8)
+        with pytest.raises(ValueError, match="BPTT cache"):
+            wrapped(x, cache=True)
+
     def test_step_interface_matches_forward(self, rng):
         layer = LSTMLayer(6, 8, rng=rng)
         stats = ReuseStats()

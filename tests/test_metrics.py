@@ -17,6 +17,8 @@ from repro.metrics import (
     wer_loss,
 )
 
+from helpers import reference_edit_distance
+
 tokens = st.lists(st.integers(0, 5), min_size=0, max_size=12)
 
 
@@ -54,6 +56,18 @@ class TestEditDistance:
     def test_bounds(self, a, b):
         d = edit_distance(a, b)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+    @given(
+        st.lists(st.integers(0, 24), max_size=24),
+        st.lists(st.integers(0, 24), max_size=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_reference(self, a, b):
+        """The Python-list DP gives the numpy DP's integers, empty lists
+        included."""
+        d = edit_distance(a, b)
+        assert d == reference_edit_distance(a, b)
+        assert type(d) is int
 
 
 class TestWER:

@@ -98,7 +98,7 @@ class TestRNNLayer:
         def loss(v):
             return float(np.sum(layer.forward(v) * probe))
 
-        layer.forward(x)
+        layer.forward(x, cache=True)
         analytic = layer.backward(probe)
         assert_grad_close(analytic, numeric_grad(loss, x), rtol=1e-4, atol=1e-7)
 
@@ -107,7 +107,7 @@ class TestRNNLayer:
         layer = RNNLayer(3, 2, rng=rng)
         x = rng.standard_normal((1, 4, 3))
         probe = rng.standard_normal((1, 4, 2))
-        layer.forward(x)
+        layer.forward(x, cache=True)
         layer.zero_grad()
         layer.backward(probe)
         for name, param in layer.named_parameters():
@@ -173,7 +173,7 @@ class TestBidirectional:
         def loss(v):
             return float(np.sum(bi.forward(v) * probe))
 
-        bi.forward(x)
+        bi.forward(x, cache=True)
         analytic = bi.backward(probe)
         assert_grad_close(analytic, numeric_grad(loss, x), rtol=1e-3, atol=1e-6)
 
@@ -212,7 +212,7 @@ class TestRNNStack:
         def loss(v):
             return float(np.sum(stack.forward(v) * probe))
 
-        stack.forward(x)
+        stack.forward(x, cache=True)
         analytic = stack.backward(probe)
         assert_grad_close(analytic, numeric_grad(loss, x), rtol=1e-3, atol=1e-6)
 
@@ -221,3 +221,57 @@ class TestRNNStack:
         names = {name for name, _ in stack.named_parameters()}
         assert any(name.startswith("layer0.") for name in names)
         assert any(name.startswith("layer1.") for name in names)
+
+
+class TestBPTTCache:
+    """Recurrent layers keep per-timestep BPTT caches only on request."""
+
+    BUILDERS = {
+        "lstm": lambda rng: LSTMLayer(3, 4, rng=rng),
+        "gru": lambda rng: GRULayer(3, 4, rng=rng),
+        "rnn": lambda rng: RNNLayer(3, 4, rng=rng),
+        "bidirectional": lambda rng: Bidirectional.gru(3, 2, rng=rng),
+        "stack": lambda rng: RNNStack(
+            [LSTMLayer(3, 4, rng=rng), Bidirectional.rnn(4, 2, rng=rng)]
+        ),
+    }
+
+    @staticmethod
+    def cell_layers(module):
+        if isinstance(module, (LSTMLayer, GRULayer, RNNLayer)):
+            return [module]
+        return [leaf for child in module.children() for leaf in TestBPTTCache.cell_layers(child)]
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_forward_keeps_no_cache_by_default(self, rng, kind):
+        module = self.BUILDERS[kind](rng)
+        x = rng.standard_normal((2, 5, 3))
+        module.forward(x, cache=True)
+        assert all(len(layer._caches) == 5 for layer in self.cell_layers(module))
+        module.forward(x)
+        assert all(layer._caches == [] for layer in self.cell_layers(module))
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_backward_after_uncached_forward_raises(self, rng, kind):
+        module = self.BUILDERS[kind](rng)
+        x = rng.standard_normal((2, 5, 3))
+        out = module.forward(x, cache=True)
+        module.backward(np.ones_like(out))
+        module.forward(x)
+        with pytest.raises(RuntimeError, match=r"cache=True"):
+            module.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_backward_releases_the_cache(self, rng, kind):
+        module = self.BUILDERS[kind](rng)
+        out = module.forward(rng.standard_normal((2, 5, 3)), cache=True)
+        module.backward(np.ones_like(out))
+        assert all(layer._caches == [] for layer in self.cell_layers(module))
+        with pytest.raises(RuntimeError, match=r"cache=True"):
+            module.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_cached_and_uncached_outputs_are_bitwise_equal(self, rng, kind):
+        module = self.BUILDERS[kind](rng)
+        x = rng.standard_normal((2, 5, 3))
+        np.testing.assert_array_equal(module.forward(x, cache=True), module.forward(x))

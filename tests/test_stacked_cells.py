@@ -45,7 +45,7 @@ def test_forward_and_gradients_match_per_gate_reference(kind, sizes):
 
     expected_out, expected_dx, expected_grads = reference_layer(layer, x, probe)
     layer.zero_grad()
-    out = layer.forward(x)
+    out = layer.forward(x, cache=True)
     d_x = layer.backward(probe)
 
     np.testing.assert_allclose(out, expected_out, rtol=RTOL, atol=ATOL)

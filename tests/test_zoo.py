@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import MemoizationScheme
+from repro.core.engine import MemoizationScheme, iter_recurrent_layers
 from repro.models.benchmark import split_validation
 from repro.models.specs import BENCHMARK_NAMES, PAPER_NETWORKS, NetworkSpec
 from repro.models.zoo import build_benchmark, load_benchmark
@@ -101,6 +101,18 @@ class TestBuilders:
             bench.quality_loss(50.0)
 
 
+@pytest.mark.parametrize("name", tuple(BENCHMARK_NAMES))
+def test_no_bptt_cache_outlives_training(name):
+    """train() ends with evaluate(); neither leaves a BPTT cache behind,
+    and neither does a memoized evaluation."""
+    bench = load_benchmark(name, scale="tiny")
+    layers = [layer for layer, _ in iter_recurrent_layers(bench.model)]
+    assert layers and all(layer._caches == [] for layer in layers)
+    bench.evaluate_memoized(MemoizationScheme(theta=0.3))
+    bench.evaluate()
+    assert all(layer._caches == [] for layer in layers)
+
+
 class TestTrainedBenchmark:
     """Uses the shared cached IMDB instance (fast to train)."""
 
@@ -134,11 +146,6 @@ class TestTrainedBenchmark:
         assert (
             cal_result.stats.total_evaluations != test_result.stats.total_evaluations
         )
-
-    def test_sweep_fn(self, bench):
-        fn = bench.sweep_fn(MemoizationScheme())
-        loss, reuse = fn(0.3)
-        assert loss >= 0.0 and 0.0 <= reuse <= 1.0
 
     def test_hidden_sequences(self, bench):
         hidden = bench.hidden_sequences()
