@@ -7,22 +7,19 @@ request rate, latency percentiles and reuse fraction for the serving
 tier; queue depths and per-owner worker throughput for the coordinator.
 ``repro top --watch`` redraws in place.
 
-Deliberately self-contained on ``urllib`` so ``repro top`` works from a
-box that has the CLI but none of the serving stack loaded; percentiles
-are interpolated from the scraped histogram buckets rather than fetched,
-since the servers only export bucket counts.
+Both scrapes go over one kept-alive connection (the servers' own
+:class:`~repro.runner.transport.http_common.KeepAliveClient`).
+Percentiles are interpolated from the scraped histogram buckets rather
+than fetched, since the servers only export bucket counts.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
 import math
-import urllib.error
-import urllib.request
+from http.client import HTTPException
 from typing import Dict, Optional
 
-from repro.obs.tracing import REQUEST_ID_HEADER, new_request_id
+from repro.runner.transport.http_common import CorruptReply, KeepAliveClient
 
 DEFAULT_TIMEOUT = 10.0
 
@@ -46,37 +43,19 @@ def _num(mapping, key: str, default: float = 0.0) -> float:
     return value if math.isfinite(value) else default
 
 
-def _fetch_json(
-    url: str, token: Optional[str], timeout: float
-) -> Dict[str, object]:
-    headers = {
-        "Accept": "application/json",
-        "Accept-Encoding": "gzip",
-        REQUEST_ID_HEADER: new_request_id(),
-    }
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, headers=headers, method="GET")
+def _fetch_json(client: KeepAliveClient, path: str) -> Dict[str, object]:
+    url = client.url + path
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            body = response.read()
-            if response.headers.get("Content-Encoding") == "gzip":
-                body = gzip.decompress(body)
-    except urllib.error.HTTPError as exc:
-        if exc.code == 404:
-            raise FileNotFoundError(url) from exc
-        detail = ""
-        try:
-            payload = json.loads(exc.read().decode("utf-8"))
-            detail = f": {payload.get('error', '')}"
-        except Exception:  # checks: allow-broad-except best-effort parse of a failed reply's body
-            pass
-        raise TopError(f"HTTP {exc.code} from {url}{detail}") from exc
-    except (urllib.error.URLError, OSError) as exc:
+        reply = client.request("GET", path)
+    except (OSError, HTTPException) as exc:
         raise TopError(f"cannot reach {url}: {exc}") from exc
+    if reply.status == 404:
+        raise FileNotFoundError(url)
+    if reply.status >= 400:
+        raise TopError(f"HTTP {reply.status} from {url}: {reply.error_message()}")
     try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return reply.json()
+    except (ValueError, CorruptReply) as exc:
         raise TopError(f"non-JSON reply from {url}") from exc
 
 
@@ -225,16 +204,17 @@ def run_top(
     the coordinator's ``/api/v1/stats`` on 404, so one command works
     against either server.
     """
-    base = url.rstrip("/")
+    client = KeepAliveClient(url, token=token or None, timeout=timeout)
     try:
-        return render_serve(_fetch_json(f"{base}/api/v1/metrics", token, timeout))
-    except FileNotFoundError:
-        pass
-    try:
-        return render_coordinator(
-            _fetch_json(f"{base}/api/v1/stats", token, timeout)
-        )
-    except FileNotFoundError:
-        raise TopError(
-            f"{url} answers neither /api/v1/metrics nor /api/v1/stats"
-        ) from None
+        try:
+            return render_serve(_fetch_json(client, "/api/v1/metrics"))
+        except FileNotFoundError:
+            pass
+        try:
+            return render_coordinator(_fetch_json(client, "/api/v1/stats"))
+        except FileNotFoundError:
+            raise TopError(
+                f"{url} answers neither /api/v1/metrics nor /api/v1/stats"
+            ) from None
+    finally:
+        client.close()

@@ -13,10 +13,11 @@ putting one HTTP coordinator in front of the queue directory:
   tick in one round trip), guarded by an optional shared token, with
   gzip on request and reply bodies of 1 KiB or more.
 - :class:`RemoteWorkQueue` (``repro worker --coordinator URL``,
-  ``--backend http``) — a urllib client implementing the same
-  :class:`~repro.runner.queue.TaskQueue` contract against that URL,
-  with bounded exponential-backoff retries so a coordinator restart
-  mid-sweep is survived, not fatal.
+  ``--backend http``) — a client implementing the same
+  :class:`~repro.runner.queue.TaskQueue` contract against that URL over
+  kept-alive connections (one per thread), with bounded
+  exponential-backoff retries so a coordinator restart mid-sweep is
+  survived, not fatal.
 
 The topology mirrors the paper's distributed DAQ: many dumb readout
 workers, one event builder.  Because both sides speak the exact

@@ -24,8 +24,12 @@ endpoints, and any request body of
 :data:`~repro.runner.transport.http_common.GZIP_MIN_BYTES` or more is
 gzip-compressed — the same rule the coordinator applies to its replies.
 
-Requests are stdlib ``urllib`` — the client side, like the server side,
-adds no dependencies.
+Requests go through :class:`~repro.runner.transport.http_common.KeepAliveClient`
+(stdlib ``http.client``, no dependencies): one kept-alive HTTP/1.1
+connection per thread, so a worker loop and its heartbeat thread share
+one client without a heartbeat ever waiting behind a long
+``batch/submit``.  A kept connection the coordinator has closed (idle
+bound, restart) is replaced transparently; that resend is not a retry.
 """
 
 from __future__ import annotations
@@ -35,14 +39,17 @@ import json
 import math
 import threading
 import time
-import urllib.error
-import urllib.request
 from http.client import HTTPException
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.obs import REQUEST_ID_HEADER, new_request_id
+from repro.obs import new_request_id
 from repro.runner.queue import Task, TaskQueue
-from repro.runner.transport.http_common import GZIP_MIN_BYTES
+from repro.runner.transport.http_common import (
+    GZIP_MIN_BYTES,
+    CorruptReply,
+    HttpReply,
+    KeepAliveClient,
+)
 
 #: Attempts per request: 1 + DEFAULT_RETRIES.  With the default backoff
 #: the final attempt lands ~25 s after the first — enough to ride out a
@@ -63,14 +70,6 @@ LEASE_TTL_MAX_AGE = 60.0
 #: clear of the request size limit, so a sweep of any size chunks into
 #: a handful of round trips instead of tripping a 413.
 BATCH_CHUNK = 1_000
-
-
-class _CorruptReply(Exception):
-    """A reply body that would not decode (bad gzip).  Internal: raised
-    by ``_once`` and caught by ``_call``'s retry loop, because a
-    mangled reply is as transient as a dropped connection — the same
-    corruption on an identity-encoded reply surfaces as a (retried)
-    ``json.JSONDecodeError``."""
 
 
 class TransportError(RuntimeError):
@@ -128,9 +127,15 @@ class RemoteWorkQueue(TaskQueue):
             ``lease_ttl`` is considered stale and re-fetched.
 
     Wire accounting: ``round_trips``, ``bytes_sent`` and
-    ``bytes_received`` count every attempt's on-the-wire traffic
-    (compressed sizes, not JSON sizes) — the overhead bench records
-    them per backend.
+    ``bytes_received`` count every attempt's request and reply bodies
+    as they crossed the wire (compressed sizes, not JSON sizes), error
+    replies included — the overhead bench records them per backend.  A
+    resend on a fresh connection, after the coordinator closed a kept
+    one unanswered, is part of its attempt and not counted again.
+
+    One client may be shared by threads (a worker loop and its
+    heartbeat): each thread gets its own kept-alive connection, and the
+    counters are updated under one lock.
     """
 
     def __init__(
@@ -163,6 +168,7 @@ class RemoteWorkQueue(TaskQueue):
         #: follows a task across its whole lease on the coordinator.
         self._task_request_ids: Dict[str, str] = {}
         self._wire_lock = threading.Lock()
+        self._connection = KeepAliveClient(self.url, token=token, timeout=self.timeout)
         self._lease_ttl: Optional[float] = None
         self._lease_ttl_fetched = 0.0
 
@@ -340,43 +346,48 @@ class RemoteWorkQueue(TaskQueue):
         Every attempt of one logical call carries the *same*
         ``X-Repro-Request-Id`` (supplied, or minted here), so retries of
         a lost reply are recognisably one request in the coordinator's
-        event log.
+        event log.  A reply that will not decode (bad gzip or bad JSON)
+        is retried like a dropped connection.
         """
         request_id = request_id or new_request_id()
-        last_error: Optional[Exception] = None
-        attempt = 0
-        while attempt <= self.retries:
+        last_error: object = None
+        for attempt in range(self.retries + 1):
             if attempt:
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
-                return self._once(endpoint, body, method, request_id)
-            except urllib.error.HTTPError as exc:
-                detail = self._error_detail(exc)
-                if exc.code in (401, 403):
+                reply = self._once(endpoint, body, method, request_id)
+            except (OSError, HTTPException) as exc:
+                last_error = exc
+                continue
+            if reply.status >= 400:
+                detail = reply.error_message()
+                if reply.status in (401, 403):
                     raise CoordinatorAuthError(
                         f"coordinator {self.url} rejected credentials "
-                        f"({exc.code}): {detail}",
-                        status=exc.code,
-                    ) from exc
-                if 400 <= exc.code < 500 and exc.code != 408:
+                        f"({reply.status}): {detail}",
+                        status=reply.status,
+                    )
+                if reply.status < 500 and reply.status != 408:
                     # Our request is wrong; re-sending it cannot help.
                     raise TransportError(
                         f"coordinator {self.url} rejected "
-                        f"/{endpoint} ({exc.code}): {detail}",
-                        status=exc.code,
-                    ) from exc
-                last_error = exc  # 5xx / 408: the coordinator's problem
-                attempt += 1
-            except (
-                urllib.error.URLError,
-                HTTPException,
-                ConnectionError,
-                TimeoutError,
-                json.JSONDecodeError,
-                _CorruptReply,
-            ) as exc:
+                        f"/{endpoint} ({reply.status}): {detail}",
+                        status=reply.status,
+                    )
+                # 5xx / 408: the coordinator's problem
+                last_error = f"HTTP {reply.status}: {detail}"
+                continue
+            try:
+                decoded = reply.json()
+            except (json.JSONDecodeError, CorruptReply) as exc:
                 last_error = exc
-                attempt += 1
+                continue
+            if not isinstance(decoded, dict):
+                raise TransportError(
+                    f"coordinator {self.url} sent a non-object reply "
+                    f"for /{endpoint}"
+                )
+            return decoded
         raise TransportError(
             f"coordinator {self.url} unreachable: /{endpoint} failed "
             f"{self.retries + 1} time(s); last error: {last_error}"
@@ -388,58 +399,26 @@ class RemoteWorkQueue(TaskQueue):
         body: Optional[Dict[str, object]],
         method: str,
         request_id: str,
-    ) -> Dict[str, object]:
+    ) -> HttpReply:
+        """One attempt on this thread's connection, counted on the wire."""
         data = None
-        headers = {
-            "Accept": "application/json",
-            "Accept-Encoding": "gzip",
-            REQUEST_ID_HEADER: request_id,
-        }
-        if self.token is not None:
-            headers["Authorization"] = f"Bearer {self.token}"
+        headers = {}
         if method == "POST":
             data = json.dumps(body or {}).encode("utf-8")
-            headers["Content-Type"] = "application/json"
             if len(data) >= GZIP_MIN_BYTES:
                 data = gzip.compress(data, compresslevel=5)
                 headers["Content-Encoding"] = "gzip"
-        request = urllib.request.Request(
-            f"{self.url}/api/v1/{endpoint}",
-            data=data,
-            headers=headers,
-            method=method,
-        )
         with self._wire_lock:
             self.round_trips += 1
             self.bytes_sent += len(data) if data else 0
-        with urllib.request.urlopen(request, timeout=self.timeout) as response:
-            raw = response.read()
-            reply_headers = response.headers
+        reply = self._connection.request(
+            method,
+            f"/api/v1/{endpoint}",
+            body=data,
+            headers=headers,
+            request_id=request_id,
+        )
         with self._wire_lock:
-            self.bytes_received += len(raw)
-            self.last_request_id = (
-                reply_headers.get(REQUEST_ID_HEADER) or request_id
-            )
-        if reply_headers.get("Content-Encoding", "").lower() == "gzip":
-            try:
-                raw = gzip.decompress(raw)
-            except (OSError, EOFError) as exc:
-                raise _CorruptReply(
-                    f"undecodable gzip reply for /{endpoint}: {exc}"
-                ) from exc
-        reply = json.loads(raw.decode("utf-8"))
-        if not isinstance(reply, dict):
-            raise TransportError(
-                f"coordinator {self.url} sent a non-object reply "
-                f"for /{endpoint}"
-            )
+            self.bytes_received += len(reply.raw)
+            self.last_request_id = reply.request_id
         return reply
-
-    @staticmethod
-    def _error_detail(exc: urllib.error.HTTPError) -> str:
-        """The server's JSON error message, if it sent one."""
-        try:
-            payload = json.loads(exc.read().decode("utf-8"))
-            return str(payload.get("error", payload))
-        except Exception:  # checks: allow-broad-except best-effort parse of a failed reply's body
-            return exc.reason if isinstance(exc.reason, str) else str(exc)

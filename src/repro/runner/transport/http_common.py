@@ -29,6 +29,17 @@ the wire hardening is written (and tested) once:
   view for existing callers) and a bounded
   :class:`repro.obs.EventLog` collects structured state-transition
   events for ``/api/v1/events``.
+- HTTP/1.1 keep-alive that does not stall: every reply (status line,
+  headers and body) goes out in one write on a ``TCP_NODELAY`` socket.
+  As headers, then body, on a Nagle socket, the body waited ~40 ms for
+  the client's delayed ACK.  A connection idle for
+  :data:`IDLE_TIMEOUT_S` is closed, and :meth:`JsonApiServer.stop`
+  shuts down every kept connection.
+- One client, :class:`KeepAliveClient`: one kept connection per
+  thread, with the request id and the gunzip handled once; each caller
+  (``ServeClient``, ``RemoteWorkQueue``, ``repro top``) maps failures
+  to its own errors.  A request whose kept connection the server
+  closed, before any reply byte, is sent once more on a fresh one.
 
 Handlers raise :class:`RequestError` to turn any condition into a clean
 HTTP error; everything else becomes a 500 without killing the server.
@@ -42,21 +53,26 @@ from __future__ import annotations
 
 import gzip
 import hmac
+import http.client
 import json
+import socket
 import sys
 import threading
 import time
+import urllib.parse
 import zlib
 from collections import Counter as PathCounts
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from repro.obs import (
     EventLog,
     MetricsRegistry,
     REQUEST_ID_HEADER,
     ensure_request_id,
+    new_request_id,
 )
 
 #: Requests larger than this are rejected outright (a result payload
@@ -72,6 +88,13 @@ GZIP_MIN_BYTES = 1024
 
 #: ``X-Repro-Protocol`` value: 2 = batch endpoints + gzip both ways.
 PROTOCOL_VERSION = 2
+
+#: Seconds a kept-alive connection may sit between requests (or stall
+#: in any one read or write) before the server closes it: a client that
+#: went away without closing must not hold a handler thread and a socket
+#: for the server's lifetime.  The clients' next request reconnects
+#: transparently.
+IDLE_TIMEOUT_S = 30.0
 
 #: A single route: either ``{method: handler}`` or the single-method
 #: shorthand ``(method, handler)``.
@@ -140,8 +163,16 @@ class JsonApiHandler(BaseHTTPRequestHandler):
 
     server: "JsonApiServer"
     protocol_version = "HTTP/1.1"  # keep-alive: clients call in a loop
+    disable_nagle_algorithm = True  # TCP_NODELAY: no reply waits on an ACK
 
     # -- plumbing -----------------------------------------------------------
+
+    def setup(self) -> None:
+        # The socket timeout bounds how long a kept connection may sit
+        # idle in the request-line read (the stdlib loop then closes it).
+        # Read per connection, not frozen into a class attribute.
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -273,19 +304,24 @@ class JsonApiHandler(BaseHTTPRequestHandler):
             # connection the unread bytes would be parsed as the next
             # request line, desyncing the socket — close it instead.
             self.close_connection = True
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("X-Repro-Protocol", str(PROTOCOL_VERSION))
+        head = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(data)}",
+            f"X-Repro-Protocol: {PROTOCOL_VERSION}",
+        ]
         request_id = getattr(self, "request_id", None)
         if request_id:
-            self.send_header(REQUEST_ID_HEADER, request_id)
+            head.append(f"{REQUEST_ID_HEADER}: {request_id}")
         if content_encoding:
-            self.send_header("Content-Encoding", content_encoding)
+            head.append(f"Content-Encoding: {content_encoding}")
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+            head.append("Connection: close")
+        # One write for the whole reply: a body sent after its headers
+        # can wait on the client's delayed ACK of the first write.
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data)
 
     def log_message(self, format: str, *args) -> None:
         # Per-request access logging is noise at client poll/request
@@ -354,7 +390,31 @@ class JsonApiServer(ThreadingHTTPServer):
         # steps the wall clock.
         self.started_at = time.monotonic()
         self._log_lock = threading.Lock()
+        self._connections_lock = threading.Lock()
+        #: Accepted connections whose handler thread has not finished.
+        self._connections: Set[socket.socket] = set()  # guarded-by: _connections_lock
         super().__init__((host, port), handler)
+
+    def process_request(self, request, client_address) -> None:
+        # Registered on the serve-loop thread before the handler thread
+        # starts, so stop() sees every connection accepted before its
+        # shutdown() returned.
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def handle_error(self, request, client_address) -> None:
+        # A connection reset or cut by its client (or by stop()) is no
+        # fault of the server: skip the stdlib's traceback print for it.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        # Forgotten under the lock before the socket closes: stop() never
+        # shuts down a descriptor that was closed and reused meanwhile.
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def count_request(self, path: str) -> None:
         self._request_counter.inc(labels=(path,))
@@ -390,6 +450,168 @@ class JsonApiServer(ThreadingHTTPServer):
         return thread
 
     def stop(self) -> None:
-        """Shut down the serve loop and release the listening socket."""
+        """Shut down the serve loop, release the listening socket and
+        close every kept-alive connection.
+
+        A handler thread waiting for a client's next request wakes to
+        end of file and exits; one still working on a request fails its
+        reply.  Clients holding a connection see it closed and reconnect,
+        to a restarted server or to a refused port.
+        """
         self.shutdown()
         self.server_close()
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client closed it first
+
+
+class CorruptReply(Exception):
+    """A reply body that would not decode (bad gzip)."""
+
+
+class HttpReply(NamedTuple):
+    """One reply read off a :class:`KeepAliveClient` connection."""
+
+    status: int
+    reason: str
+    #: The body as it came off the wire (gzip-compressed when
+    #: ``encoding`` says so): its length is the received byte count.
+    raw: bytes
+    encoding: str
+    #: The id the server echoed, else the one the request carried.
+    request_id: str
+
+    def body(self) -> bytes:
+        """The body, gunzipped if it was sent gzip-encoded."""
+        if self.encoding != "gzip":
+            return self.raw
+        try:
+            return gzip.decompress(self.raw)
+        except (OSError, EOFError) as exc:
+            raise CorruptReply(f"undecodable gzip reply: {exc}") from exc
+
+    def json(self) -> object:
+        """The decoded JSON body (``ValueError`` or :class:`CorruptReply`
+        when it is not JSON)."""
+        return json.loads(self.body())
+
+    def error_message(self) -> str:
+        """An error reply's JSON ``error`` field, else its text, else the
+        reason phrase."""
+        try:
+            payload = self.json()
+        except (ValueError, CorruptReply):
+            return self.raw.decode("utf-8", "replace") or self.reason
+        message = payload.get("error") if isinstance(payload, dict) else None
+        return str(message) if message else self.reason
+
+
+class KeepAliveClient:
+    """HTTP/1.1 to one JSON server, one kept-alive connection per thread.
+
+    Threads never share a connection, so a thread never waits behind
+    another's slow request, and replies cannot cross.  The connection of
+    a thread that has ended is closed when another thread opens one.
+
+    Each request carries ``Accept-Encoding: gzip``, the bearer token
+    and an ``X-Repro-Request-Id`` (given, or minted here).  A request
+    whose kept connection turns out to be closed by the server (its idle
+    bound, :meth:`JsonApiServer.stop`, an earlier error reply), before a
+    single reply byte was read, is sent once more on a fresh connection;
+    a fresh connection's failure is raised.  Connection failures raise
+    ``OSError`` or ``http.client.HTTPException``, and a reply of any
+    status is returned: the caller maps both to its own errors.
+
+    Args:
+        url: server base URL, ``http://`` or ``https://``; request paths
+            are appended to it.
+        token: bearer token to send; ``None`` sends none.
+        timeout: per-socket-operation timeout in seconds.
+    """
+
+    def __init__(self, url: str, token: Optional[str] = None, timeout: float = 30.0):
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        self.url = url.rstrip("/")
+        self.token = token
+        self.timeout = timeout
+        self._prefix = parts.path.rstrip("/")
+        self._address = (parts.hostname, parts.port)
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._lock = threading.Lock()
+        self._connections: Dict[
+            threading.Thread, http.client.HTTPConnection
+        ] = {}  # guarded-by: _lock
+
+    def _thread_connection(self) -> http.client.HTTPConnection:
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is None:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                connection = self._connection_class(*self._address, timeout=self.timeout)
+                self._connections[thread] = connection
+            return connection
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        headers: Optional[Mapping[str, str]] = None,
+        request_id: Optional[str] = None,
+    ) -> HttpReply:
+        """Send one request on this thread's connection; read the reply."""
+        request_id = request_id or new_request_id()
+        sent = {
+            "Accept": "application/json",
+            "Accept-Encoding": "gzip",
+            REQUEST_ID_HEADER: request_id,
+        }
+        if body is not None:
+            sent["Content-Type"] = "application/json"
+        if self.token is not None:
+            sent["Authorization"] = f"Bearer {self.token}"
+        sent.update(headers or {})
+        connection = self._thread_connection()
+        while True:
+            reused = connection.sock is not None
+            request_sent = False
+            try:
+                connection.request(method, self._prefix + path, body=body, headers=sent)
+                request_sent = True
+                response = connection.getresponse()
+                raw = response.read()
+            except BaseException as exc:
+                connection.close()
+                # No reply byte was read: the send failed, or the server
+                # closed the connection before the status line.
+                unanswered = isinstance(exc, http.client.RemoteDisconnected) or (
+                    not request_sent and isinstance(exc, OSError)
+                )
+                if reused and unanswered:
+                    continue  # once: the connection is fresh now
+                raise
+            return HttpReply(
+                status=response.status,
+                reason=response.reason,
+                raw=raw,
+                encoding=(response.getheader("Content-Encoding") or "").lower(),
+                request_id=response.getheader(REQUEST_ID_HEADER) or request_id,
+            )
+
+    def close(self) -> None:
+        """Close every thread's connection (a later request reopens)."""
+        with self._lock:
+            for connection in self._connections.values():
+                connection.close()
+            self._connections.clear()

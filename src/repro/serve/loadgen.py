@@ -20,12 +20,10 @@ the loadgen itself fire halfway through the run.
 
 from __future__ import annotations
 
-import gzip
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
+from http.client import HTTPException
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,7 +32,7 @@ from repro.core.engine import MemoizationScheme, memoized
 from repro.core.stats import ReuseStats
 from repro.models.benchmark import Benchmark
 from repro.models.zoo import build_benchmark
-from repro.obs import REQUEST_ID_HEADER, new_request_id
+from repro.runner.transport.http_common import KeepAliveClient
 
 Array = np.ndarray
 
@@ -48,7 +46,15 @@ class ServeError(Exception):
 
 
 class ServeClient:
-    """Minimal stdlib JSON client for the ``repro serve`` API."""
+    """Minimal stdlib JSON client for the ``repro serve`` API.
+
+    Keeps one HTTP/1.1 connection per thread (a
+    :class:`~repro.runner.transport.http_common.KeepAliveClient`), so
+    threads may share one client and each request skips the TCP
+    handshake.  An HTTP error raises :class:`ServeError` with its
+    status, and a connection that cannot be made or breaks raises it
+    with status ``0``.
+    """
 
     def __init__(
         self, url: str, token: Optional[str] = None, timeout: float = 60.0
@@ -56,6 +62,7 @@ class ServeClient:
         self.url = url.rstrip("/")
         self.token = token
         self.timeout = timeout
+        self._connection = KeepAliveClient(self.url, token=token, timeout=timeout)
         #: The id the server echoed on the most recent reply — the
         #: handle for finding this client's requests in the server's
         #: ``/api/v1/events``.
@@ -67,35 +74,19 @@ class ServeClient:
         path: str,
         payload: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        data = None
-        request_id = new_request_id()
-        headers = {"Accept-Encoding": "gzip", REQUEST_ID_HEADER: request_id}
-        if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        if self.token is not None:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=headers, method=method
-        )
+        data = None if payload is None else json.dumps(payload).encode("utf-8")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                raw = reply.read()
-                self.last_request_id = (
-                    reply.headers.get(REQUEST_ID_HEADER) or request_id
-                )
-                if reply.headers.get("Content-Encoding", "") == "gzip":
-                    raw = gzip.decompress(raw)
-        except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            try:
-                message = json.loads(detail).get("error", "")
-            except (json.JSONDecodeError, UnicodeDecodeError, AttributeError):
-                message = detail.decode("utf-8", "replace")
-            raise ServeError(exc.code, message or exc.reason) from None
-        except urllib.error.URLError as exc:
-            raise ServeError(0, f"cannot reach {self.url}: {exc.reason}") from exc
-        return json.loads(raw)
+            reply = self._connection.request(method, path, body=data)
+        except (OSError, HTTPException) as exc:
+            raise ServeError(0, f"cannot reach {self.url}: {exc}") from exc
+        self.last_request_id = reply.request_id
+        if reply.status >= 400:
+            raise ServeError(reply.status, reply.error_message())
+        return reply.json()
+
+    def close(self) -> None:
+        """Close this client's kept-alive connections."""
+        self._connection.close()
 
     def get(self, path: str) -> Dict[str, object]:
         return self.request("GET", path)
@@ -271,7 +262,6 @@ def run_loadgen(
     )
 
     def worker() -> None:
-        thread_client = ServeClient(url, token=token, timeout=timeout)
         while True:
             with counter_lock:
                 i = next(next_request, None)
@@ -279,7 +269,7 @@ def run_loadgen(
                 return
             if i == retune_at:
                 try:
-                    info = thread_client.put(
+                    info = client.put(
                         "/api/v1/theta", {"theta": retune_theta}
                     )
                 except ServeError as exc:
@@ -291,7 +281,7 @@ def run_loadgen(
             body = {"inputs": [payloads[index] for index in plan[i]]}
             start = time.perf_counter()
             try:
-                reply = thread_client.post("/api/v1/infer", body)
+                reply = client.post("/api/v1/infer", body)
             except ServeError as exc:
                 with counter_lock:
                     errors.append(f"request {i}: {exc}")
@@ -368,6 +358,7 @@ def run_loadgen(
             [latencies_ms[i] for i in completed]
         )
     metrics = client.get("/api/v1/metrics")
+    client.close()
     summary["reuse"] = metrics["reuse"]
     summary["pool"] = metrics.get("pool")
     summary["coalesce"] = metrics.get("coalesce")

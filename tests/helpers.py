@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference gradient checking, the
 per-gate float64 reference the stacked cells are compared against, the
 per-gate memoization reference (with its own Eq. 12-17 BNN predictor)
-the engine is compared against, and the numpy edit-distance DP that
-:func:`repro.metrics.wer.edit_distance` is compared against."""
+the engine is compared against, the numpy edit-distance DP that
+:func:`repro.metrics.wer.edit_distance` is compared against, and the
+connection counter the HTTP keep-alive tests read."""
 
 from __future__ import annotations
 
@@ -403,3 +404,19 @@ def reference_edit_distance(reference, hypothesis) -> int:
             current[j] = min(subs[j - 1], previous[j] + 1, current[j - 1] + 1)
         previous, current = current, previous
     return int(previous[len(hyp)])
+
+
+def count_connections(monkeypatch, server) -> list:
+    """A live list of the client addresses of every connection ``server``
+    (a :class:`~repro.runner.transport.http_common.JsonApiServer`)
+    accepts from now on: how a test tells a kept connection from a new
+    one."""
+    accepted = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    monkeypatch.setattr(server, "process_request", counting)
+    return accepted

@@ -13,13 +13,18 @@ The load-bearing properties:
   reproduce the one-shot forward bitwise.
 """
 
+import http.client
+import json
 import threading
+import time
 
 import numpy as np
 import pytest
+from helpers import count_connections
 
 from repro.core.engine import MemoizationScheme
 from repro.models.zoo import load_benchmark
+from repro.runner.transport import http_common
 from repro.serve import (
     MAX_INFER_ROWS,
     InferenceServer,
@@ -173,6 +178,117 @@ class TestEndpoints:
             assert "lstm" in metrics["reuse"]["by_layer"]
             assert metrics["requests"]["/api/v1/infer"] == 1
         finally:
+            shutdown()
+
+
+class TestKeepAlive:
+    """One kept-alive connection per client thread, replaced transparently
+    when the server closes it."""
+
+    def test_infer_round_trips_on_one_connection_do_not_stall(self, imdb, imdb_rows):
+        """A kept-alive ``/infer`` must not wait for a delayed ACK (~40 ms
+        when the reply went out as headers, then body, on a Nagle socket)."""
+        _, rows = imdb_rows
+        server, _, shutdown = serve(imdb)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        body = json.dumps({"inputs": rows[:2]})
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request(
+                    "POST", "/api/v1/infer", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+            shutdown()
+        assert elapsed < 0.4, f"20 kept-alive round trips took {elapsed:.3f} s"
+
+    def test_one_connection_per_thread(self, imdb, imdb_rows, monkeypatch):
+        _, rows = imdb_rows
+        server, _, shutdown = serve(imdb)
+        accepted = count_connections(monkeypatch, server)
+        client = ServeClient(server.url)
+        outputs = []
+
+        def drive():
+            for row in rows:
+                outputs.append(client.post("/api/v1/infer", {"input": row})["outputs"])
+
+        try:
+            threads = [threading.Thread(target=drive) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(outputs) == 3 * len(rows)
+            assert len(accepted) == 3
+            client.get("/api/v1/health")  # the main thread: a fourth
+            assert len(accepted) == 4
+        finally:
+            client.close()
+            shutdown()
+
+    def test_reconnects_after_an_error_reply(self, imdb, imdb_rows, monkeypatch):
+        _, rows = imdb_rows
+        server, _, shutdown = serve(imdb)
+        accepted = count_connections(monkeypatch, server)
+        client = ServeClient(server.url)
+        try:
+            client.post("/api/v1/infer", {"input": rows[0]})
+            with pytest.raises(ServeError) as excinfo:
+                client.post("/api/v1/infer", {"inputs": []})  # 400, Connection: close
+            assert excinfo.value.status == 400
+            assert client.post("/api/v1/infer", {"input": rows[0]})["outputs"]
+            assert len(accepted) == 2
+        finally:
+            client.close()
+            shutdown()
+
+    def test_reconnects_to_a_restarted_server(self, imdb, imdb_rows, monkeypatch):
+        _, rows = imdb_rows
+        server, _, shutdown = serve(imdb)
+        port = server.server_address[1]
+        client = ServeClient(server.url)
+        try:
+            assert client.get("/api/v1/theta")["theta"] == THETA
+            shutdown()
+            server, _, shutdown = serve(
+                imdb, MemoizationScheme(theta=0.3), port=port
+            )
+            accepted = count_connections(monkeypatch, server)
+            assert client.get("/api/v1/theta")["theta"] == 0.3
+            assert client.post("/api/v1/infer", {"input": rows[0]})["theta"] == 0.3
+            assert len(accepted) == 1
+        finally:
+            client.close()
+            shutdown()
+        with pytest.raises(ServeError) as excinfo:
+            client.get("/api/v1/health")  # stopped: refused, not a hang
+        assert excinfo.value.status == 0
+
+    def test_reconnects_after_the_idle_close(self, imdb, imdb_rows, monkeypatch):
+        _, rows = imdb_rows
+        monkeypatch.setattr(http_common, "IDLE_TIMEOUT_S", 0.2)
+        server, _, shutdown = serve(imdb)
+        accepted = count_connections(monkeypatch, server)
+        client = ServeClient(server.url)
+        try:
+            client.get("/api/v1/metrics")
+            client.post("/api/v1/infer", {"input": rows[0]})
+            assert len(accepted) == 1
+            time.sleep(0.6)
+            after = client.get("/api/v1/metrics")
+            assert after["inference"]["requests"] == 1
+            assert len(accepted) == 2
+        finally:
+            client.close()
             shutdown()
 
 

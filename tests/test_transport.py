@@ -9,10 +9,16 @@ worker drain loops, and the claim-atomicity hammer: many threads
 claiming through the server must never double-claim or lose a task.
 """
 
+import gzip
+import http.client
+import json
+import socket
+import sys
 import threading
 import time
 
 import pytest
+from helpers import count_connections
 
 from repro.runner import (
     CoordinatorAuthError,
@@ -25,6 +31,8 @@ from repro.runner import (
     lease_owner,
     payload_key,
 )
+from repro.runner.transport import http_common
+from repro.runner.transport.http_common import GZIP_MIN_BYTES, KeepAliveClient
 
 
 def sample_payload(tag: int = 0):
@@ -426,12 +434,185 @@ class TestKeepAlive:
         finally:
             server.stop()
 
+    def test_round_trips_on_one_connection_do_not_stall(self, coordinator):
+        """A kept-alive round trip must not wait for a delayed ACK.
+        Written as headers, then body, on a Nagle socket, each reply's
+        body waited ~40 ms for the client to acknowledge the headers."""
+        host, port = coordinator.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/api/v1/stats")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 kept-alive round trips took {elapsed:.3f} s"
+
+    def test_an_ended_threads_connection_is_closed(self, coordinator):
+        """A client used from short-lived threads (a heartbeat thread per
+        task) holds one connection per live thread, not one per thread
+        it ever saw."""
+        client = KeepAliveClient(coordinator.url)
+        try:
+            for _ in range(3):
+                thread = threading.Thread(
+                    target=client.request, args=("GET", "/api/v1/stats")
+                )
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert client.request("GET", "/api/v1/stats").status == 200
+            assert list(client._connections) == [threading.current_thread()]
+        finally:
+            client.close()
+
+    def test_stop_closes_kept_connections(self, tmp_path):
+        """A stopped coordinator's handler threads must not keep answering
+        clients that still hold a connection."""
+        server = CoordinatorServer(
+            WorkQueue(tmp_path / "queue", lease_ttl=60), port=0, quiet=True
+        )
+        server.serve_in_thread()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/api/v1/stats")
+            conn.getresponse().read()
+            server.stop()
+            with pytest.raises(ConnectionError):  # no reply, not a 200
+                conn.request("GET", "/api/v1/stats")
+                conn.getresponse()
+        finally:
+            conn.close()
+
+    def test_idle_connections_are_closed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_common, "IDLE_TIMEOUT_S", 0.2)
+        server = CoordinatorServer(
+            WorkQueue(tmp_path / "queue", lease_ttl=60), port=0, quiet=True
+        )
+        server.serve_in_thread()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/api/v1/stats")
+            conn.getresponse().read()
+            conn.sock.settimeout(5)
+            start = time.monotonic()
+            assert conn.sock.recv(1) == b""  # end of file: the server closed it
+            assert 0.05 < time.monotonic() - start < 3
+        finally:
+            conn.close()
+            server.stop()
+
+
+class TestReconnect:
+    """A kept connection the coordinator closed is replaced on the next
+    request, without spending a retry (every client here has none)."""
+
+    def test_after_an_error_reply(self, coordinator, monkeypatch):
+        accepted = count_connections(monkeypatch, coordinator)
+        client = RemoteWorkQueue(coordinator.url, retries=0)
+        client.stats()
+        with pytest.raises(TransportError) as excinfo:
+            client._call("teleport", {})  # 404, sent with Connection: close
+        assert excinfo.value.status == 404
+        client.stats()
+        client.stats()
+        assert len(accepted) == 2
+        assert client.round_trips == 4
+
+    def test_after_a_restart_on_the_same_port(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "queue", lease_ttl=60)
+        first = CoordinatorServer(queue, port=0, quiet=True)
+        first.serve_in_thread()
+        port = first.server_address[1]
+        client = RemoteWorkQueue(first.url, retries=0)
+        assert client.stats()["lease_ttl"] == 60
+        first.stop()
+        second = CoordinatorServer(
+            WorkQueue(tmp_path / "queue", lease_ttl=90), port=port, quiet=True
+        )
+        accepted = count_connections(monkeypatch, second)
+        second.serve_in_thread()
+        try:
+            assert client.stats()["lease_ttl"] == 90
+            assert len(accepted) == 1
+            assert client.round_trips == 2
+        finally:
+            second.stop()
+
+    def test_after_the_idle_close(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(http_common, "IDLE_TIMEOUT_S", 0.2)
+        server = CoordinatorServer(
+            WorkQueue(tmp_path / "queue", lease_ttl=60), port=0, quiet=True
+        )
+        accepted = count_connections(monkeypatch, server)
+        server.serve_in_thread()
+        try:
+            client = RemoteWorkQueue(server.url, retries=0)
+            client.stats()
+            client.stats()
+            assert len(accepted) == 1  # kept alive
+            time.sleep(0.6)
+            client.stats()
+            assert len(accepted) == 2
+            assert client.round_trips == 3
+        finally:
+            server.stop()
+
+    def test_resends_only_when_no_reply_byte_was_read(self):
+        """Scripted per request: a full reply; a close before any reply
+        byte (resent once, on a new connection); a few status-line bytes
+        and a close (raised, not resent)."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        request_lines = []
+
+        def serve(script):
+            while script:
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    while script:
+                        line = reader.readline()
+                        if not line:
+                            break
+                        while reader.readline() not in (b"\r\n", b""):
+                            pass
+                        request_lines.append(line.split()[1].decode())
+                        action = script.pop(0)
+                        if action != "ok":
+                            if action == "partial":
+                                conn.sendall(b"HTT")
+                            break
+                        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+
+        thread = threading.Thread(
+            target=serve, args=(["ok", "drop", "ok", "partial"],), daemon=True
+        )
+        thread.start()
+        client = KeepAliveClient(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=5)
+        try:
+            assert client.request("GET", "/a").json() == {}
+            assert client.request("GET", "/b").json() == {}
+            with pytest.raises(http.client.BadStatusLine):
+                client.request("GET", "/c")
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        finally:
+            client.close()
+            listener.close()
+        assert request_lines == ["/a", "/b", "/b", "/c"]
+
 
 class TestHeartbeatResilience:
-    def test_heartbeat_survives_a_coordinator_outage(self, tmp_path):
+    def test_heartbeat_survives_a_coordinator_outage(self, tmp_path, monkeypatch):
         """A beat that fails (coordinator briefly down) must not kill
         the heartbeat thread: once the coordinator is back, renewals
-        resume and the lease stays fresh."""
+        resume and the lease stays fresh.  The beats must fail during
+        the outage: a stopped server's kept connection answers nothing."""
         queue = WorkQueue(tmp_path / "queue", lease_ttl=0.4)
         server = CoordinatorServer(queue, port=0, quiet=True)
         server.serve_in_thread()
@@ -443,18 +624,117 @@ class TestHeartbeatResilience:
         task = client.claim("steady")
         assert client.lease_ttl == 0.4  # cached; beats every 0.1s
         lease_file = queue.active_dir / f"{task.task_id}.{task.lease}.json"
+        beats = []  # True per renewed lease, False per failed beat
+        extend = client.extend
+
+        def recording_extend(task):
+            try:
+                extend(task)
+            except TransportError:
+                beats.append(False)
+                raise
+            beats.append(True)
+
+        monkeypatch.setattr(client, "extend", recording_extend)
 
         with client.heartbeat(task):
+            time.sleep(0.25)
+            assert True in beats  # the heartbeat is live before the outage
             server.stop()  # outage: the next beats raise TransportError
+            outage_started = len(beats)
             time.sleep(0.3)
+            during_outage = beats[outage_started:]
             replacement = CoordinatorServer(queue, port=port, quiet=True)
             replacement.serve_in_thread()
             try:
                 before = lease_file.stat().st_mtime
+                resumed_from = len(beats)
                 time.sleep(0.3)  # >= 2 beat intervals against the new server
                 assert lease_file.stat().st_mtime > before  # beats resumed
+                assert True in beats[resumed_from:]
             finally:
                 replacement.stop()
+        assert during_outage and not any(during_outage)
+
+
+class TestSharedClient:
+    """One client driven by a worker loop and its heartbeat thread at once:
+    each thread has its own connection, replies never cross, and the
+    wire counters lose no update."""
+
+    def test_worker_loop_and_heartbeat_share_one_client(self, tmp_path, monkeypatch):
+        queue = WorkQueue(tmp_path / "queue", lease_ttl=0.2)  # beats every 0.05 s
+        server = CoordinatorServer(queue, port=0, quiet=True)
+        server.serve_in_thread()
+        client = RemoteWorkQueue(server.url, retries=0)
+        calls = []  # (thread, id sent, id echoed, request bytes sent, reply wire bytes)
+        once = client._once
+
+        def sent_bytes(body, method):
+            if method != "POST":
+                return 0
+            data = json.dumps(body or {}).encode("utf-8")
+            if len(data) >= GZIP_MIN_BYTES:
+                data = gzip.compress(data, compresslevel=5)
+            return len(data)
+
+        def recording_once(endpoint, body, method, request_id):
+            reply = once(endpoint, body, method, request_id)
+            calls.append((
+                threading.get_ident(), request_id, reply.request_id,
+                sent_bytes(body, method), len(reply.raw),
+            ))
+            return reply
+
+        monkeypatch.setattr(client, "_once", recording_once)
+        client.submit_many([sample_payload()])
+        task = client.claim("shared")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with client.heartbeat(task):
+                for batch in range(40):
+                    client.submit_many(
+                        [sample_payload(1000 + 20 * batch + i) for i in range(20)]
+                    )
+                    client.poll_many([task.task_id])
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+
+        threads = {thread for thread, *_ in calls}
+        assert len(threads) == 2  # the worker loop and its heartbeat
+        assert all(sent == echoed for _, sent, echoed, _, _ in calls)
+        assert len({sent for _, sent, _, _, _ in calls}) >= 80
+        assert client.round_trips == len(calls)
+        assert client.bytes_sent == sum(sent for *_, sent, _ in calls)
+        assert client.bytes_received == sum(wire for *_, wire in calls)
+
+    def test_a_heartbeat_never_waits_behind_a_slow_submit(self, coordinator, monkeypatch):
+        submit_many = coordinator.queue.submit_many
+        entered = threading.Event()
+
+        def slow_submit_many(payloads):
+            entered.set()
+            time.sleep(1.0)
+            return submit_many(payloads)
+
+        monkeypatch.setattr(coordinator.queue, "submit_many", slow_submit_many)
+        client = RemoteWorkQueue(coordinator.url, retries=0)
+        client.stats()  # the main thread's connection is open and kept
+        submitter = threading.Thread(
+            target=client.submit_many, args=([sample_payload()],)
+        )
+        submitter.start()
+        try:
+            assert entered.wait(5)
+            start = time.monotonic()
+            assert client.stats()["pending"] == 0
+            assert time.monotonic() - start < 0.5
+        finally:
+            submitter.join(timeout=5)
+        assert not submitter.is_alive()
+        assert coordinator.queue.pending_count() == 1
 
 
 class TestConcurrentClaims:
