@@ -6,8 +6,8 @@ one the engine actually runs: a whole LSTM gate phase stacked along the
 neuron axis (4 x 320 neurons at EESEN's widths), evaluated on a batch of
 operands.  Two paths are compared:
 
-- the ±1 int matmul reference (``BinaryGate.evaluate``, i.e.
-  ``binary_dot``),
+- a ±1 int32 matmul of the binarized weights and operands, built
+  inline here,
 - the engine's hot path: the operand packed once via ``pack_signs`` and
   fed to ``BinaryGate.evaluate_packed`` — exactly what
   ``MemoizedRecurrentLayer`` does per phase timestep.
@@ -34,10 +34,19 @@ def phase_operands():
     return w_x, w_h, x, h
 
 
+def _signs(values):
+    """Eq. 7 as ±1 int32."""
+    return np.where(values >= 0, 1, -1).astype(np.int32)
+
+
 def test_bnn_matmul_path(benchmark, phase_operands):
     w_x, w_h, x, h = phase_operands
-    gate = BinaryGate(w_x, w_h)
-    result = benchmark(gate.evaluate, x, h)
+    weight_signs = _signs(np.concatenate([w_x, w_h], axis=1))
+
+    def matmul_step():
+        return _signs(np.concatenate([x, h], axis=-1)) @ weight_signs.T
+
+    result = benchmark(matmul_step)
     assert result.shape == (BATCH, GATES * NEURONS)
 
 
@@ -59,8 +68,10 @@ def test_paths_agree(benchmark, phase_operands):
     gate = BinaryGate(w_x, w_h)
     operand = np.concatenate([x, h], axis=-1)
 
+    weight_signs = _signs(np.concatenate([w_x, w_h], axis=1))
+
     def both():
-        return gate.evaluate(x, h), gate.evaluate_packed(pack_signs(operand))
+        return _signs(operand) @ weight_signs.T, gate.evaluate_packed(pack_signs(operand))
 
     plain, packed = benchmark.pedantic(both, rounds=1, iterations=1)
     np.testing.assert_array_equal(plain, packed)

@@ -47,8 +47,7 @@ def test_ablation_predictor_kinds(benchmark, cache):
     # The BNN is broadly useful: double-digit reuse within budget on at
     # least two networks.  (Note: on our *synthetic* workloads the
     # input-similarity strawman is stronger than on the paper's real
-    # data — phoneme holds make inputs genuinely static; EXPERIMENTS.md
-    # discusses this deviation.)
+    # data — phoneme holds make inputs genuinely static.)
     useful = [
         sweeps[(n, "bnn")].reuse_at_loss(2.0) >= 0.10 for n in BENCHMARK_NAMES
     ]

@@ -48,10 +48,10 @@ def test_fig08_correlation_histogram(benchmark, cache):
 
     # All networks: the bulk of neurons correlate well — the property the
     # predictor rests on.  (The paper additionally finds MNMT weakest;
-    # at our scale the ordering shifts — see EXPERIMENTS.md — because the
-    # IMDB stand-in's binarized token embeddings carry less signal than
-    # its paper-sized counterpart, while the MNMT stand-in's wide
-    # recurrent state correlates strongly.)
+    # at our scale the ordering shifts because the IMDB stand-in's
+    # binarized token embeddings carry less signal than its paper-sized
+    # counterpart, while the MNMT stand-in's wide recurrent state
+    # correlates strongly.)
     for name, corr in correlations.items():
         assert fraction_above(corr, 0.5) > 0.5, name
     # At least half the networks match the paper's "85% above 0.8" order

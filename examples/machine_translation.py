@@ -17,20 +17,19 @@ def main():
     bench = load_benchmark("mnmt", scale="tiny")
     print(f"  base BLEU: {bench.base_quality:.2f}")
 
-    dataset = bench.dataset
     sample = bench.test_idx[:5]
-    sources = dataset.source[sample]
-    references = dataset.references(sample)
+    sources = bench.rows(sample)
+    references = bench.dataset.references(sample)
 
     print("\nSample translations (theta=0.2, BNN predictor):")
-    baseline = bench.model.translate(sources, max_len=dataset.length + 2)
+    baseline = bench.outputs(sources)
     stats = ReuseStats()
     with memoized(bench.model, MemoizationScheme(theta=0.2), stats):
-        memoized_out = bench.model.translate(sources, max_len=dataset.length + 2)
+        memoized_out = bench.outputs(sources)
     for src, ref, base, memo in zip(sources, references, baseline, memoized_out):
         marker = "" if base == memo else "   <- changed"
-        print(f"  src={[int(t) for t in src]}")
-        print(f"    ref={list(ref)}  base={list(base)}  memo={list(memo)}{marker}")
+        print(f"  src={src.tolist()}")
+        print(f"    ref={list(ref)}  base={base}  memo={memo}{marker}")
     print(f"  reuse during decode: {stats.reuse_percent():.1f}%")
 
     print("\nBLEU loss vs threshold (note the steep degradation):")

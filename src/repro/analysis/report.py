@@ -137,7 +137,5 @@ def generate_report(
         f"E-PUR {DEFAULT_AREA_MODEL.baseline_mm2:.1f} mm² -> E-PUR+BM "
         f"{DEFAULT_AREA_MODEL.memoized_mm2:.1f} mm² "
         f"({100 * DEFAULT_AREA_MODEL.overhead_fraction:.1f}% overhead).",
-        "",
-        "See EXPERIMENTS.md for per-figure analysis and deviations.",
     ]
     return "\n".join(lines)

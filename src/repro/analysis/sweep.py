@@ -115,8 +115,7 @@ def end_to_end(
     runner = runner if runner is not None else _DEFAULT_RUNNER
     job = SweepJob.from_benchmark(benchmark, scheme, thetas, calibration=True)
     calibration_sweep = runner.sweep(job, benchmark=benchmark, shards=shards)
-    best = calibration_sweep.best_under_loss(loss_target)
-    theta = best.theta if best is not None else min(thetas)
+    theta = calibration_sweep.select(loss_target)
 
     test_job = SweepJob.from_benchmark(
         benchmark, scheme.with_theta(theta), (theta,), calibration=False

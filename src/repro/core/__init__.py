@@ -2,7 +2,8 @@
 
 Public surface:
 
-- :func:`binarize` / :class:`BinaryGate` — Equations 7-8 and Figure 9.
+- :func:`pack_signs` / :func:`binary_dot_packed` / :class:`BinaryGate` —
+  Equations 7-8 and Figure 9.
 - :class:`MemoizationScheme` + :func:`memoized` — apply the scheme to any
   model built on :mod:`repro.nn`.
 - Predictors (:class:`BNNGatePredictor`, :class:`OracleGatePredictor`,
@@ -12,13 +13,7 @@ Public surface:
 - :mod:`repro.core.correlation` — Figures 7-8 analysis.
 """
 
-from repro.core.binarization import (
-    binarize,
-    binarize_bits,
-    binary_dot,
-    binary_dot_packed,
-    pack_signs,
-)
+from repro.core.binarization import binary_dot_packed, pack_signs
 from repro.core.bnn import BinaryGate
 from repro.core.calibration import (
     SweepPoint,
@@ -83,9 +78,6 @@ __all__ = [
     "SweepPoint",
     "ThresholdSweep",
     "apply_memoization",
-    "binarize",
-    "binarize_bits",
-    "binary_dot",
     "binary_dot_packed",
     "calibrate_per_layer",
     "calibrate_threshold",

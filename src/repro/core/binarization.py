@@ -1,12 +1,11 @@
 """Sign binarization and binary dot products (paper Equations 7 and 8).
 
-Two functionally identical evaluation paths are provided:
-
-- a ±1 int8 matmul (``binary_dot``), the clearest reference; and
-- a bit-packed XNOR/popcount path (``pack_signs`` + ``binary_dot_packed``)
-  mirroring what the hardware FMU's BDPU actually does: multiply of
-  binarized operands is XNOR, the reduction is a popcount adder tree, and
-  the signed dot product is recovered as ``n - 2 * popcount(xor)``.
+Eq. 7 binarizes ``x`` to ``+1 if x >= 0 else -1``, and Eq. 8 is the
+integer dot product of two such ±1 vectors.  This module computes both
+the way the hardware FMU's BDPU does: ``pack_signs`` stores each sign as
+one bit, a multiply of binarized operands is XNOR, the reduction is a
+popcount adder tree, and ``binary_dot_packed`` recovers the signed dot
+product as ``n - 2 * popcount(xor)``.
 
 Sign bits are packed into ``uint64`` machine words so a whole gate phase
 (every gate of an LSTM/GRU cell, stacked) reduces to XOR + popcount
@@ -28,8 +27,9 @@ MNMT's 4096 stacked neurons at batch 16, against 16.8 MB for a
 ``(B, N, W)`` XOR tensor of its 32-word operands), and only one
 mixed-width add runs per three words.
 
-The test suite asserts both paths agree bit-exactly on random inputs,
-including widths that are not multiples of the word size.
+The test suite checks the kernel bit-exactly against a ±1 int8 matmul
+reference on random inputs, including widths that are not multiples of
+the word size.
 """
 
 from __future__ import annotations
@@ -50,35 +50,6 @@ _BYTES_PER_WORD = _WORD_BITS // 8
 #: holds at most ``3 * 64 = 192`` mismatches, and a fourth word could
 #: take it past 255.
 _GROUP_WORDS = 3
-
-
-def binarize(x: Array) -> Array:
-    """Eq. 7: ``+1 if x >= 0 else -1``, as int8."""
-    x = np.asarray(x)
-    return np.where(x >= 0, 1, -1).astype(np.int8)
-
-
-def binarize_bits(x: Array) -> Array:
-    """Eq. 7 with the hardware storage convention: ``+1 -> 1``, ``-1 -> 0``."""
-    x = np.asarray(x)
-    return (x >= 0).astype(np.uint8)
-
-
-def binary_dot(w_bin: Array, x_bin: Array) -> Array:
-    """Eq. 8 reference path: integer dot product of ±1 operands.
-
-    Args:
-        w_bin: ``(H, D)`` ±1 weights (one row per neuron).
-        x_bin: ``(D,)`` or ``(B, D)`` ±1 inputs.
-
-    Returns:
-        ``(H,)`` or ``(B, H)`` int32 dot products.
-    """
-    w_bin = np.asarray(w_bin, dtype=np.int32)
-    x_bin = np.asarray(x_bin, dtype=np.int32)
-    if x_bin.ndim == 1:
-        return w_bin @ x_bin
-    return x_bin @ w_bin.T
 
 
 def pack_signs(x: Array) -> Array:
@@ -102,21 +73,13 @@ def pack_signs(x: Array) -> Array:
     return packed.view(np.uint64)
 
 
-def unpack_signs(packed: Array, n_bits: int) -> Array:
-    """Inverse of :func:`pack_signs`: the ±1 int8 signs of the first
-    ``n_bits`` lanes along the last axis (padding bits are dropped)."""
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=n_bits)
-    return bits.astype(np.int8) * 2 - 1
-
-
 def binary_dot_packed(w_words: Array, x_packed: Array, n_bits: int) -> Array:
     """Eq. 8 hardware path: XNOR + popcount on packed sign bits.
 
     ``dot = n_bits - 2 * popcount(w XOR x)`` over the true ``n_bits`` lane
     width.  Padding bits cancel because both operands pad with 0 (XOR of
     equal pads is 0, contributing nothing to the popcount).  The result is
-    the exact same integer the ±1 matmul produces.
+    the exact integer dot product of the ±1 signs.
 
     The popcount runs one operand word at a time and sums up to three
     words' counts in uint8 before widening them (see the module

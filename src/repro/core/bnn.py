@@ -16,25 +16,17 @@ word-major ``(W, N)`` uint64 layout of
 :func:`~repro.core.binarization.binary_dot_packed`: row ``k`` holds
 word ``k`` of all ``N`` neurons, so the kernel's per-word pass reads one
 contiguous row.  A phase evaluation at batch ``B`` then costs one
-``(B, N)`` XOR/popcount/add slab per 64-bit operand word.  The ±1 int8
-matrix of the reference path (:meth:`BinaryGate.evaluate`, used by
-:mod:`repro.core.correlation` and the equivalence tests) is unpacked
-from those words on first use only.
+``(B, N)`` XOR/popcount/add slab per 64-bit operand word.  That popcount
+kernel is the gate's only evaluation: the engine's predictor and the
+Figures 7-8 correlation analysis (:mod:`repro.core.correlation`) both
+call :meth:`BinaryGate.evaluate_packed`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from repro.core.binarization import (
-    binarize,
-    binary_dot,
-    binary_dot_packed,
-    pack_signs,
-    unpack_signs,
-)
+from repro.core.binarization import binary_dot_packed, pack_signs
 
 Array = np.ndarray
 
@@ -65,37 +57,17 @@ class BinaryGate:
         #: ``(W, N)`` word-major packed weight signs.
         self.weight_words = np.ascontiguousarray(packed.T)
 
-    @cached_property
-    def weights_bin(self) -> Array:
-        """``(N, D)`` ±1 int8 weight signs, unpacked on first use."""
-        return unpack_signs(self.weight_words.T, self.n_bits)
-
-    def evaluate(self, x: Array, h: Array) -> Array:
-        """±1 binary dot products for operands ``x`` (B, E) and ``h`` (B, R).
-
-        Returns:
-            int32 array of shape ``(B, H)`` (or ``(H,)`` for 1-D input).
-        """
-        x = np.asarray(x)
-        h = np.asarray(h)
-        return self.evaluate_operand(np.concatenate([x, h], axis=-1))
-
-    def evaluate_operand(self, operand: Array) -> Array:
-        """±1 binary dot products for an already-concatenated ``[x ; h]``."""
-        operand = np.asarray(operand)
-        if operand.shape[-1] != self.n_bits:
-            raise ValueError(
-                f"operand width {operand.shape[-1]} != expected {self.n_bits}"
-            )
-        return binary_dot(self.weights_bin, binarize(operand))
-
     def evaluate_packed(self, packed_operand: Array) -> Array:
         """Popcount evaluation of pre-packed operand signs.
 
-        The engine's kernel: the caller packs the concatenated operand
-        once per phase (``pack_signs``) and this reduces to
-        ``n_bits - 2 * popcount(w XOR x)`` per neuron, the same integers
-        as :meth:`evaluate_operand`.
+        The caller packs the concatenated operand ``[x ; h]`` once per
+        phase (``pack_signs``) and this reduces to
+        ``n_bits - 2 * popcount(w XOR x)`` per neuron: Eq. 8's integer
+        dot product of the ±1 signs.
+
+        Returns:
+            int32 array of shape ``(B, N)`` (or ``(N,)`` for a 1-D
+            operand).
         """
         return binary_dot_packed(self.weight_words, packed_operand, self.n_bits)
 

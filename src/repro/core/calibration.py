@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-#: (accuracy_loss, reuse_fraction) produced by evaluating one threshold.
+#: (quality_loss, reuse_fraction) produced by evaluating one threshold.
 EvalResult = Tuple[float, float]
 EvalFn = Callable[[float], EvalResult]
 
@@ -55,6 +55,15 @@ class ThresholdSweep:
             return None
         return max(admissible, key=lambda p: p.reuse)
 
+    def select(self, max_loss: float) -> float:
+        """§3.2.1's choice: the highest-reuse θ within ``max_loss``.
+
+        When no explored θ meets the budget this returns the smallest
+        one, the most conservative setting.
+        """
+        best = self.best_under_loss(max_loss)
+        return best.theta if best is not None else min(self.thetas)
+
     def reuse_at_loss(self, max_loss: float) -> float:
         """Reuse fraction achievable at ``max_loss`` (0.0 if none)."""
         best = self.best_under_loss(max_loss)
@@ -65,7 +74,7 @@ def sweep_thresholds(evaluate: EvalFn, thetas: Sequence[float]) -> ThresholdSwee
     """Evaluate every threshold in ``thetas``.
 
     Args:
-        evaluate: maps a threshold to ``(accuracy_loss, reuse_fraction)``
+        evaluate: maps a threshold to ``(quality_loss, reuse_fraction)``
             — typically a closure running memoized inference on the
             calibration split.
         thetas: thresholds to explore (the paper uses a grid from 0 to
@@ -137,13 +146,8 @@ def calibrate_threshold(
     """§3.2.1: pick the highest-reuse threshold within the loss budget.
 
     Returns:
-        ``(theta, sweep)``.  When no explored threshold satisfies the
-        budget, the smallest threshold is returned (the most conservative
-        setting), mirroring a deployment that must never exceed the loss
-        target.
+        ``(theta, sweep)``, with ``theta`` chosen by
+        :meth:`ThresholdSweep.select`.
     """
     sweep = sweep_thresholds(evaluate, thetas)
-    best = sweep.best_under_loss(max_loss)
-    if best is None:
-        return min(thetas), sweep
-    return best.theta, sweep
+    return sweep.select(max_loss), sweep

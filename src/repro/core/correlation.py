@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.binarization import pack_signs
 from repro.core.bnn import BinaryGate
 from repro.metrics.correlation import pearson
 from repro.nn.cells import GatedCell, GatePhase
@@ -54,17 +55,21 @@ class _RecordingHook:
     """A pure-observer :class:`~repro.nn.cells.MemoHook`.
 
     For every gate phase it captures the full-precision pre-activation
-    blocks and evaluates each gate's binary mirror on the phase operand
+    blocks and evaluates the phase's binary mirror on the phase operand
     (which for the GRU candidate is the resolved ``r_t * h_{t-1}`` —
     exactly what the hardware FMU would binarize), returning ``preacts``
-    untouched so the trajectory is the layer's own.
+    untouched so the trajectory is the layer's own.  The mirror is the
+    engine's: one :class:`~repro.core.bnn.BinaryGate` over the phase's
+    stacked weights, evaluated by the packed popcount kernel, whose
+    ``(B, G*H)`` output splits into the same per-gate column blocks as
+    ``preacts``.
     """
 
     def __init__(self, cell: GatedCell):
-        self.mirrors = {}
-        for gate in cell.gate_names:
-            w_x, w_h, _ = cell.gate_weights(gate)
-            self.mirrors[gate] = BinaryGate(w_x, w_h)
+        self.mirrors = [
+            BinaryGate(*cell.stacked_gate_weights(phase.gates))
+            for phase in cell.PHASES
+        ]
         self.full: Dict[str, List[Array]] = {g: [] for g in cell.gate_names}
         self.binary: Dict[str, List[Array]] = {g: [] for g in cell.gate_names}
 
@@ -77,9 +82,12 @@ class _RecordingHook:
         preacts: Array,
     ) -> Array:
         hidden = cell.hidden_size
+        mirror = self.mirrors[phase.index]
+        binary = mirror.evaluate_packed(pack_signs(np.concatenate([x, h], axis=-1)))
         for i, gate in enumerate(phase.gates):
-            self.full[gate].append(preacts[:, i * hidden : (i + 1) * hidden].copy())
-            self.binary[gate].append(self.mirrors[gate].evaluate(x, h))
+            columns = slice(i * hidden, (i + 1) * hidden)
+            self.full[gate].append(preacts[:, columns].copy())
+            self.binary[gate].append(binary[:, columns])
         return preacts
 
 

@@ -8,7 +8,9 @@
 Each corpus metric also has a *mergeable accumulator*
 (:mod:`repro.metrics.accumulators`) carrying its integer sufficient
 statistics, which is what makes batch-sharded evaluation merge
-bitwise-identically to the whole-split computation.
+bitwise-identically to the whole-split computation.  Benchmarks score
+only through the accumulators; the corpus functions are the references
+the accumulator tests compare against.
 """
 
 from repro.metrics.accumulators import (
@@ -19,10 +21,10 @@ from repro.metrics.accumulators import (
     WERAccumulator,
     accumulator_from_payload,
 )
-from repro.metrics.accuracy import accuracy, accuracy_loss
-from repro.metrics.bleu import bleu, bleu_loss, corpus_bleu
+from repro.metrics.accuracy import accuracy
+from repro.metrics.bleu import bleu, corpus_bleu
 from repro.metrics.correlation import pearson
-from repro.metrics.wer import edit_distance, wer, wer_loss
+from repro.metrics.wer import edit_distance, wer
 
 __all__ = [
     "ACCUMULATOR_KINDS",
@@ -32,12 +34,9 @@ __all__ = [
     "WERAccumulator",
     "accumulator_from_payload",
     "accuracy",
-    "accuracy_loss",
     "bleu",
-    "bleu_loss",
     "corpus_bleu",
     "edit_distance",
     "pearson",
     "wer",
-    "wer_loss",
 ]

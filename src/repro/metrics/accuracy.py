@@ -27,8 +27,3 @@ def accuracy(predictions: Array, targets: Array) -> float:
     if targets.size == 0:
         raise ValueError("need at least one target")
     return 100.0 * float(np.mean(hard == targets))
-
-
-def accuracy_loss(base_accuracy: float, new_accuracy: float) -> float:
-    """Absolute accuracy degradation relative to the baseline network."""
-    return max(0.0, base_accuracy - new_accuracy)

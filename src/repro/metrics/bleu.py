@@ -80,8 +80,3 @@ def bleu(
 ) -> float:
     """Alias for :func:`corpus_bleu` with default settings."""
     return corpus_bleu(references, hypotheses)
-
-
-def bleu_loss(base_bleu: float, new_bleu: float) -> float:
-    """Absolute BLEU degradation relative to the baseline network."""
-    return max(0.0, base_bleu - new_bleu)

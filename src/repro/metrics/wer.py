@@ -2,7 +2,8 @@
 
 The paper reports speech results as *WER loss*: the absolute increase in
 WER over the unmodified network (Table 1 lists 10.24 WER for DeepSpeech2
-and 23.8 for EESEN).  ``wer_loss`` implements that convention.
+and 23.8 for EESEN); :func:`repro.models.benchmark.quality_loss` applies
+that convention.
 """
 
 from __future__ import annotations
@@ -58,15 +59,6 @@ def wer(
     if total_tokens == 0:
         raise ValueError("references contain no tokens")
     return 100.0 * total_edits / total_tokens
-
-
-def wer_loss(base_wer: float, new_wer: float) -> float:
-    """Absolute WER degradation relative to the baseline network.
-
-    Never negative: a (noise-induced) improvement counts as zero loss,
-    matching how the paper's loss axes start at 0.
-    """
-    return max(0.0, new_wer - base_wer)
 
 
 def align_lengths(

@@ -6,6 +6,14 @@ trained in seconds, its test split, the quality metric, the loss
 convention (WER *increases*, accuracy/BLEU *decrease*), and memoized
 evaluation under any :class:`~repro.core.engine.MemoizationScheme`.
 
+Each network's evaluation decisions are written once, here and in its
+:mod:`repro.models.zoo` subclass.  :meth:`Benchmark.rows` builds the
+model input for dataset rows and :meth:`Benchmark.outputs` decodes one
+output per row; offline evaluation, serving
+(:mod:`repro.serve.state`) and the served == offline verifier
+(:func:`repro.serve.loadgen.expected_outputs`) all call them.
+:func:`quality_loss` is the one loss rule.
+
 Evaluation is *shardable*: ``evaluate_memoized(..., shard=(i, n))``
 evaluates the ``i``-th of ``n`` deterministic partitions of the split,
 and the whole split is the single shard :data:`WHOLE` ``= (0, 1)``.
@@ -80,11 +88,17 @@ def shard_indices(indices: Array, shard_index: int, shard_count: int) -> Array:
     return np.array_split(np.asarray(indices), shard_count)[shard_index]
 
 
-def split_blocks(outputs: Sequence, blocks: int) -> List[Sequence]:
-    """Split a stacked evaluation's per-row outputs into its ``blocks``
-    equal, consecutive row blocks."""
-    rows = len(outputs) // blocks
-    return [outputs[k * rows : (k + 1) * rows] for k in range(blocks)]
+def quality_loss(
+    base_quality: float, quality: float, higher_is_better: bool
+) -> float:
+    """The paper's loss convention: quality lost against the base network.
+
+    Accuracy and BLEU losses are drops and a WER loss is a rise.  Losses
+    clamp at zero, so a noise-induced improvement counts as no loss.
+    """
+    if higher_is_better:
+        return max(0.0, base_quality - quality)
+    return max(0.0, quality - base_quality)
 
 
 def split_validation(
@@ -165,21 +179,43 @@ class Benchmark(ABC):
         """Batches for one training epoch."""
 
     @abstractmethod
+    def rows(self, indices: Array) -> Array:
+        """The model's input batch for the dataset rows ``indices``.
+
+        Row ``k`` of the batch is dataset row ``indices[k]``: token ids,
+        feature frames or source tokens, as the network consumes them.
+        Serving takes the same rows as JSON (``rows(indices).tolist()``).
+        """
+
+    @abstractmethod
+    def outputs(self, batch: Array, model=None) -> List[object]:
+        """The network's decoded output for every row of ``batch``.
+
+        The single decode, shared by evaluation, serving and the served
+        == offline verifier: one JSON-ready output per row (an ``int``
+        label, a transcript ``list`` or a translation ``list``).
+        ``model`` defaults to the benchmark's own model; serving passes
+        a replica.  No row's output may depend on the other rows of the
+        batch, so a row decodes the same alone, in a request or in a
+        whole split.
+        """
+
+    @abstractmethod
     def quality_accumulators(
         self, indices: Array, blocks: int
     ) -> List[MetricAccumulator]:
         """Evaluate ``blocks`` copies of the rows in ``indices`` in one pass.
 
-        The single evaluation primitive.  It runs the model once over
-        ``np.tile(indices, blocks)`` and returns one mergeable
-        accumulator per row block, in block order.  Whole-split quality
-        is ``quality_accumulators(all_indices, 1)[0].finalize()``, and a
+        The single evaluation primitive.  It decodes
+        ``outputs(rows(np.tile(indices, blocks)))`` and returns one
+        mergeable accumulator per row block, in block order.
+        Whole-split quality is
+        ``quality_accumulators(all_indices, 1)[0].finalize()``, and a
         shard's partial result is the same call on the shard's index
         subset.  Under a scheme stack (see
         :meth:`evaluate_memoized_many`) block ``k`` runs under scheme
-        ``k``.  Implementations must evaluate each row independently of
-        the others in the batch (no cross-row coupling) and must handle
-        an empty ``indices`` without invoking the model.
+        ``k``.  Implementations must handle an empty ``indices`` without
+        invoking the model.
         """
 
     @abstractmethod
@@ -203,6 +239,14 @@ class Benchmark(ABC):
         """Row indices of the evaluation split (test or calibration)."""
         return np.asarray(self.val_idx if calibration else self.test_idx)
 
+    def _block_outputs(self, indices: Array, blocks: int) -> List[List[object]]:
+        """:meth:`outputs` of ``blocks`` stacked copies of the rows in
+        ``indices``, decoded in one pass and split back into one list per
+        block."""
+        outputs = self.outputs(self.rows(np.tile(indices, blocks)))
+        size = len(indices)
+        return [outputs[k * size : (k + 1) * size] for k in range(blocks)]
+
     def evaluate(self) -> float:
         """Quality on the held-out split (metric per spec)."""
         return self.quality_accumulators(self.eval_indices(), 1)[0].finalize()
@@ -223,16 +267,10 @@ class Benchmark(ABC):
             self.train()
 
     def quality_loss(self, quality: float) -> float:
-        """The paper's loss convention vs. the base network.
-
-        Accuracy/BLEU losses are drops; WER loss is an increase.  Losses
-        are clamped at zero (noise-induced improvements count as zero).
-        """
+        """:func:`quality_loss` of ``quality`` against the base network."""
         if self.base_quality is None:
             raise RuntimeError("train() must run before quality_loss()")
-        if self.spec.higher_is_better:
-            return max(0.0, self.base_quality - quality)
-        return max(0.0, quality - self.base_quality)
+        return quality_loss(self.base_quality, quality, self.spec.higher_is_better)
 
     def evaluate_memoized(
         self,
@@ -340,13 +378,9 @@ def merge_shard_results(
         metric.merge(result.metric)
         stats.merge(result.stats)
     quality = metric.finalize()
-    if higher_is_better:
-        quality_loss = max(0.0, base_quality - quality)
-    else:
-        quality_loss = max(0.0, quality - base_quality)
     return MemoizedResult(
         quality=quality,
-        quality_loss=quality_loss,
+        quality_loss=quality_loss(base_quality, quality, higher_is_better),
         reuse_fraction=stats.reuse_fraction(),
         stats=stats,
         metric=metric,

@@ -6,7 +6,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.metrics.accuracy import accuracy
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.lstm import LSTMLayer
@@ -51,10 +50,6 @@ class SentimentModel(Module):
 
     def predict(self, token_ids: Array) -> Array:
         return self.forward(token_ids).argmax(axis=-1)
-
-    def evaluate(self, token_ids: Array, labels: Array) -> float:
-        """Test accuracy in percent."""
-        return accuracy(self.predict(token_ids), labels)
 
     # -- training ----------------------------------------------------------------
 

@@ -7,12 +7,11 @@ is WER — matching how the paper's two speech networks are scored.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from repro.datasets.speech import collapse
-from repro.metrics.wer import wer
 from repro.nn.gru import GRULayer
 from repro.nn.linear import Linear
 from repro.nn.losses import SequenceCrossEntropy
@@ -82,12 +81,6 @@ class SpeechModel(Module):
         """Collapse-decoded transcripts for a batch of utterances."""
         frame_predictions = self.forward(frames).argmax(axis=-1)
         return [collapse(row) for row in frame_predictions]
-
-    def evaluate(
-        self, frames: Array, references: Sequence[Sequence[int]]
-    ) -> float:
-        """Corpus WER in percent (lower is better)."""
-        return wer(list(references), self.transcribe(frames))
 
     # -- training ----------------------------------------------------------------
 

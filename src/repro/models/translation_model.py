@@ -8,12 +8,11 @@ stepping interface, so it runs unchanged under the memoization engine.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.datasets.translation import BOS, EOS, NUM_SPECIALS
-from repro.metrics.bleu import corpus_bleu
+from repro.datasets.translation import BOS, EOS
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.losses import SequenceCrossEntropy
@@ -96,24 +95,20 @@ class TranslationModel(Module):
 
     # -- decoding ---------------------------------------------------------------
 
-    def translate(
-        self, src_ids: Array, max_len: int, early_stop: bool = True
-    ) -> List[Tuple[int, ...]]:
-        """Greedy decode; stops each hypothesis at EOS or ``max_len``.
+    def translate(self, src_ids: Array, max_len: int) -> List[Tuple[int, ...]]:
+        """Greedy decode; each hypothesis ends at its EOS or at ``max_len``.
+
+        The decoder always runs all ``max_len`` steps, even once every
+        row has emitted EOS.  A finished row appends nothing, so stopping
+        early would not change a hypothesis, but it would make a row's
+        step count, and with it its memoization statistics, depend on
+        the other rows of its batch.  A fixed step count keeps every row
+        independent of its batch: a served row, a shard and a stacked
+        sweep block see what the whole-split run sees.
 
         Args:
             src_ids: source token batch ``(B, S)``.
-            max_len: decode-step budget per hypothesis.
-            early_stop: abandon the loop once *every* row has emitted
-                EOS.  The hypotheses are identical either way (finished
-                rows never append tokens), but the step count then
-                depends on the whole batch, which couples per-row
-                memoization statistics across rows.  Sharded evaluation
-                (:meth:`repro.models.benchmark.Benchmark.evaluate_memoized`)
-                passes ``False`` so every row always sees exactly
-                ``max_len`` decoder steps regardless of which other rows
-                share its batch — the property that makes per-batch
-                shard merges bitwise-identical to the whole-split run.
+            max_len: decode steps per hypothesis.
         """
         src_ids = np.asarray(src_ids)
         batch = src_ids.shape[0]
@@ -134,8 +129,6 @@ class TranslationModel(Module):
                         finished[b] = True
                     else:
                         hypotheses[b].append(int(tokens[b]))
-            if early_stop and finished.all():
-                break
         return [tuple(h) for h in hypotheses]
 
     def translate_beam(
@@ -150,7 +143,7 @@ class TranslationModel(Module):
         memoization engine keeps one linear per-neuron memo stream; under
         ``memoized(...)`` the beams would share that stream, which is not
         the hardware's per-sequence buffer semantics.  Memoized quality
-        numbers therefore use greedy decoding (``evaluate`` default); the
+        numbers therefore use greedy decoding (:meth:`translate`); the
         paper's beam search is modelled in the accelerator's effective
         sequence length instead (see ``repro.models.specs``).
         """
@@ -205,27 +198,6 @@ class TranslationModel(Module):
             beams = candidates[:width]
         best = max(beams, key=lambda b: b[1] / max(len(b[0]), 1))
         return best[0]
-
-    def evaluate(
-        self,
-        src_ids: Array,
-        references: Sequence[Sequence[int]],
-        max_len: int | None = None,
-        beam_width: int | None = None,
-    ) -> float:
-        """Corpus BLEU in percent (higher is better).
-
-        Greedy decoding by default; pass ``beam_width`` for beam search.
-        """
-        if max_len is None:
-            max_len = src_ids.shape[1] + NUM_SPECIALS
-        if beam_width is None:
-            hypotheses = self.translate(src_ids, max_len=max_len)
-        else:
-            hypotheses = self.translate_beam(
-                src_ids, max_len=max_len, beam_width=beam_width
-            )
-        return corpus_bleu(list(references), hypotheses)
 
     # -- analysis hooks -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.metrics.accumulators import (
     BLEUAccumulator,
     WERAccumulator,
 )
-from repro.models.benchmark import Benchmark, split_blocks, split_validation
+from repro.models.benchmark import Benchmark, split_validation
 from repro.models.sentiment_model import SentimentModel
 from repro.models.specs import PAPER_NETWORKS, NetworkSpec
 from repro.models.speech_model import SpeechModel
@@ -78,18 +78,22 @@ class SentimentBenchmark(Benchmark):
             for idx in [self.train_idx[idx]]
         ]
 
+    def rows(self, indices: Array) -> Array:
+        return self.dataset.tokens[indices]
+
+    def outputs(self, batch: Array, model=None) -> List[int]:
+        model = self.model if model is None else model
+        return [int(label) for label in model.predict(batch)]
+
     def quality_accumulators(
         self, indices: Array, blocks: int
     ) -> List[AccuracyAccumulator]:
         accumulators = [AccuracyAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
-            predictions = self.model.predict(
-                self.dataset.tokens[np.tile(indices, blocks)]
-            )
             labels = self.dataset.labels[indices]
             for accumulator, block in zip(
-                accumulators, split_blocks(predictions, blocks)
+                accumulators, self._block_outputs(indices, blocks)
             ):
                 accumulator.update(block, labels)
         return accumulators
@@ -143,18 +147,22 @@ class _SpeechBenchmark(Benchmark):
             for idx in [self.train_idx[idx]]
         ]
 
+    def rows(self, indices: Array) -> Array:
+        return self.dataset.features[indices]
+
+    def outputs(self, batch: Array, model=None) -> List[List[int]]:
+        model = self.model if model is None else model
+        return [list(transcript) for transcript in model.transcribe(batch)]
+
     def quality_accumulators(
         self, indices: Array, blocks: int
     ) -> List[WERAccumulator]:
         accumulators = [WERAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
-            transcripts = self.model.transcribe(
-                self.dataset.features[np.tile(indices, blocks)]
-            )
             references = self.dataset.references(indices)
             for accumulator, block in zip(
-                accumulators, split_blocks(transcripts, blocks)
+                accumulators, self._block_outputs(indices, blocks)
             ):
                 accumulator.update(references, block)
         return accumulators
@@ -244,24 +252,25 @@ class TranslationBenchmark(Benchmark):
             batches.append((self.dataset.source[rows], dec_in, dec_tgt))
         return batches
 
+    def rows(self, indices: Array) -> Array:
+        return self.dataset.source[indices]
+
+    def outputs(self, batch: Array, model=None) -> List[List[int]]:
+        """Greedy translations, decoded for ``length + 2`` steps: the
+        reference's ``length`` tokens, its EOS and one spare step."""
+        model = self.model if model is None else model
+        hypotheses = model.translate(batch, max_len=self.dataset.length + 2)
+        return [list(hypothesis) for hypothesis in hypotheses]
+
     def quality_accumulators(
         self, indices: Array, blocks: int
     ) -> List[BLEUAccumulator]:
         accumulators = [BLEUAccumulator() for _ in range(blocks)]
         indices = np.asarray(indices)
         if indices.size:
-            # early_stop=False: each row must see a batch-independent
-            # number of decoder steps or shard merges and stacked blocks
-            # would not reproduce the whole-split reuse statistics (see
-            # translate()).
-            hypotheses = self.model.translate(
-                self.dataset.source[np.tile(indices, blocks)],
-                max_len=self.dataset.length + 2,
-                early_stop=False,
-            )
-            references = list(self.dataset.references(indices))
+            references = self.dataset.references(indices)
             for accumulator, block in zip(
-                accumulators, split_blocks(hypotheses, blocks)
+                accumulators, self._block_outputs(indices, blocks)
             ):
                 accumulator.update(references, block)
         return accumulators

@@ -10,7 +10,8 @@ tier; queue depths and per-owner worker throughput for the coordinator.
 Both scrapes go over one kept-alive connection (the servers' own
 :class:`~repro.runner.transport.http_common.KeepAliveClient`).
 Percentiles are interpolated from the scraped histogram buckets rather
-than fetched, since the servers only export bucket counts.
+than fetched, since the servers only export bucket counts, and capped at
+the observed max.
 """
 
 from __future__ import annotations
@@ -67,10 +68,14 @@ def percentile_from_buckets(
     Linear interpolation inside the winning bucket (lower edge 0 for the
     first).  Observations past the last bound carry no upper edge, so a
     quantile landing in the overflow region reports the observed max.
+    No estimate exceeds the observed ``max_ms``: interpolation runs up
+    to the bucket's upper bound, which the bucket's observations may
+    all sit well below.
     """
     count = int(snapshot.get("count", 0))
     if count <= 0:
         return 0.0
+    peak = _num(snapshot, "max_ms", math.inf)
     target = quantile * count
     previous_bound = 0.0
     previous_cumulative = 0
@@ -80,9 +85,9 @@ def percentile_from_buckets(
         if cumulative >= target:
             in_bucket = cumulative - previous_cumulative
             if in_bucket <= 0:
-                return bound
+                return min(bound, peak)
             fraction = (target - previous_cumulative) / in_bucket
-            return previous_bound + fraction * (bound - previous_bound)
+            return min(previous_bound + fraction * (bound - previous_bound), peak)
         previous_bound = bound
         previous_cumulative = cumulative
     return _num(snapshot, "max_ms", previous_bound)

@@ -101,53 +101,26 @@ class ServeClient:
 # -- deterministic traffic ---------------------------------------------------
 
 
-def _row_payload(benchmark: Benchmark, index: int) -> list:
-    """One test-split row as the JSON the server expects."""
-    name = benchmark.name
-    if name == "imdb":
-        return benchmark.dataset.tokens[index].tolist()
-    if name in ("deepspeech2", "eesen"):
-        return benchmark.dataset.features[index].tolist()
-    if name == "mnmt":
-        return benchmark.dataset.source[index].tolist()
-    raise ValueError(f"no loadgen traffic source for benchmark {name!r}")
-
-
 def expected_outputs(
     benchmark: Benchmark, scheme: MemoizationScheme, indices: Sequence[int]
 ) -> List[object]:
-    """The offline batch path's predictions for ``indices``.
+    """The offline batch path's outputs for ``indices``.
 
-    One memoized batch evaluation over all rows at once — exactly the
-    :meth:`~repro.models.benchmark.Benchmark.evaluate_memoized` inference
-    path, producing the reference the served predictions must equal.
-    The predictions are discrete (labels, token sequences), and row
-    independence makes them independent of the batch/serve split; the
-    float activations behind them are not, since a BLAS GEMM may round a
-    row differently with the number of rows it computes at once.
+    One memoized batch decode over all rows at once, through the same
+    :meth:`~repro.models.benchmark.Benchmark.rows` and
+    :meth:`~repro.models.benchmark.Benchmark.outputs` that
+    :meth:`~repro.models.benchmark.Benchmark.evaluate_memoized` scores
+    and the server's adapters run: the reference every served output
+    must equal.  The outputs are discrete (``int`` labels, token
+    ``list``s), and row independence makes them independent of the
+    batch/serve split; the float activations behind them are not, since
+    a BLAS GEMM may round a row differently with the number of rows it
+    computes at once.
     """
     benchmark.ensure_trained()
-    indices = np.asarray(indices, dtype=np.int64)
-    model = benchmark.model
-    name = benchmark.name
-    with memoized(model, scheme, ReuseStats()):
-        if name == "imdb":
-            return [int(p) for p in model.predict(benchmark.dataset.tokens[indices])]
-        if name in ("deepspeech2", "eesen"):
-            return [
-                list(t)
-                for t in model.transcribe(benchmark.dataset.features[indices])
-            ]
-        if name == "mnmt":
-            return [
-                list(h)
-                for h in model.translate(
-                    benchmark.dataset.source[indices],
-                    max_len=benchmark.dataset.length + 2,
-                    early_stop=False,
-                )
-            ]
-    raise ValueError(f"no verification path for benchmark {name!r}")
+    batch = benchmark.rows(np.asarray(indices, dtype=np.int64))
+    with memoized(benchmark.model, scheme, ReuseStats()):
+        return benchmark.outputs(batch)
 
 
 def scheme_from_info(info: Dict[str, object]) -> MemoizationScheme:
@@ -239,10 +212,9 @@ def run_loadgen(
         [int(test_idx[(i * batch + j) % len(test_idx)]) for j in range(batch)]
         for i in range(requests)
     ]
-    payloads = {
-        index: _row_payload(benchmark, index)
-        for index in sorted({i for row in plan for i in row})
-    }
+    # Each test-split row as the JSON the server expects.
+    sent = sorted({i for row in plan for i in row})
+    payloads = dict(zip(sent, benchmark.rows(sent).tolist()))
 
     next_request = iter(range(requests))
     counter_lock = threading.Lock()

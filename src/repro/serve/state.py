@@ -134,18 +134,20 @@ class LatencyHistogram(Histogram):
 
 
 class TaskAdapter:
-    """Validates request rows and runs them through a benchmark model.
+    """Validates request rows and runs them through the benchmark's decode.
 
     One adapter per application domain; ``validate_row`` raises
     :class:`ValueError` with a client-worthy message (the HTTP layer maps
-    it to a 400), ``infer`` turns validated rows into JSON-serializable
-    outputs.  Rows of equal shape are stacked into one forward (the same
-    outputs as per-row evaluation, by the row-independence invariant);
-    ragged batches fall back to row-at-a-time.
+    it to a 400), and ``infer`` turns validated rows into the
+    JSON-serializable outputs of
+    :meth:`~repro.models.benchmark.Benchmark.outputs` — the decode that
+    offline evaluation and the verifier run too.  Rows of equal shape are
+    stacked into one forward (the same outputs as per-row evaluation, by
+    the row-independence invariant); ragged batches run row-at-a-time.
 
     ``infer`` takes the model to run explicitly so one adapter serves
-    every replica in the pool; without one it falls back to the
-    benchmark's own (unwrapped — no memoization) model.
+    every replica in the pool; without one it runs the benchmark's own
+    (unwrapped — no memoization) model.
     """
 
     kind = "generic"
@@ -153,22 +155,17 @@ class TaskAdapter:
 
     def __init__(self, benchmark: Benchmark):
         self.benchmark = benchmark
-        self.model = benchmark.model
 
     def validate_row(self, row: object) -> Array:
         raise NotImplementedError
 
     def infer(self, rows: List[Array], model=None) -> List[object]:
-        model = self.model if model is None else model
         if all(row.shape == rows[0].shape for row in rows):
-            return self._infer_batch(np.stack(rows), model)
+            return self.benchmark.outputs(np.stack(rows), model)
         outputs: List[object] = []
         for row in rows:
-            outputs.extend(self._infer_batch(row[None], model))
+            outputs.extend(self.benchmark.outputs(row[None], model))
         return outputs
-
-    def _infer_batch(self, batch: Array, model) -> List[object]:
-        raise NotImplementedError
 
 
 def _validate_token_row(row: object, vocab: int, what: str) -> Array:
@@ -191,9 +188,6 @@ class SentimentAdapter(TaskAdapter):
         return _validate_token_row(row, self.benchmark.dataset.vocab_size,
                                    "token")
 
-    def _infer_batch(self, batch: Array, model) -> List[object]:
-        return [int(label) for label in model.predict(batch)]
-
 
 class SpeechAdapter(TaskAdapter):
     """Speech: (T, F) feature-frame rows in, collapse-decoded
@@ -205,7 +199,8 @@ class SpeechAdapter(TaskAdapter):
         super().__init__(benchmark)
         self.feature_dim = benchmark.dataset.feature_dim
         self.streamable = not any(
-            isinstance(layer, Bidirectional) for layer in self.model.stack.layers
+            isinstance(layer, Bidirectional)
+            for layer in benchmark.model.stack.layers
         )
 
     def validate_row(self, row: object) -> Array:
@@ -226,34 +221,21 @@ class SpeechAdapter(TaskAdapter):
             raise ValueError("speech rows must be finite numbers")
         return frames
 
-    def _infer_batch(self, batch: Array, model) -> List[object]:
-        return [list(transcript) for transcript in model.transcribe(batch)]
-
 
 class TranslationAdapter(TaskAdapter):
-    """MNMT-style: source-token rows in, decoded target rows out.
+    """MNMT-style: source-token rows in, greedy translations out.
 
-    Decoding always runs ``early_stop=False`` with the evaluation path's
-    step budget, so a served row sees exactly the decoder-step count it
-    would inside any offline batch — the precondition for bitwise
-    equality with ``evaluate_memoized``.
+    The benchmark's decode runs a fixed number of steps for every row,
+    so a served row sees exactly the decoder steps it would inside any
+    offline batch — the precondition for equality with
+    ``evaluate_memoized``.
     """
 
     kind = "translation"
 
-    def __init__(self, benchmark: Benchmark):
-        super().__init__(benchmark)
-        self.max_len = benchmark.dataset.length + 2
-
     def validate_row(self, row: object) -> Array:
         return _validate_token_row(row, self.benchmark.dataset.vocab_size,
                                    "source")
-
-    def _infer_batch(self, batch: Array, model) -> List[object]:
-        hypotheses = model.translate(
-            batch, max_len=self.max_len, early_stop=False
-        )
-        return [list(hypothesis) for hypothesis in hypotheses]
 
 
 _ADAPTERS = {

@@ -1,16 +1,19 @@
 """Shared test utilities: finite-difference gradient checking, the
 per-gate float64 reference the stacked cells are compared against, the
 per-gate memoization reference (with its own Eq. 12-17 BNN predictor)
-the engine is compared against, the numpy edit-distance DP that
+the engine is compared against, the ±1 int8 matmul reference the packed
+popcount kernel is compared against, the numpy edit-distance DP that
 :func:`repro.metrics.wer.edit_distance` is compared against, and the
 connection counter the HTTP keep-alive tests read."""
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
+from repro.core.bnn import BinaryGate
 from repro.core.predictors import BNNGatePredictor
 
 Array = np.ndarray
@@ -381,6 +384,67 @@ class ReferenceHook:
         return outputs
 
     __call__ = forward
+
+
+# -- ±1 int8 matmul BNN reference ----------------------------------------------
+#
+# Eq. 7-8 computed the plain way: signs as ±1 int8, dot products as an
+# integer matmul.  The engine's packed XNOR/popcount kernel
+# (``pack_signs`` + ``binary_dot_packed``) must produce the same integers.
+
+
+def binarize(x: Array) -> Array:
+    """Eq. 7: ``+1 if x >= 0 else -1``, as int8."""
+    x = np.asarray(x)
+    return np.where(x >= 0, 1, -1).astype(np.int8)
+
+
+def binarize_bits(x: Array) -> Array:
+    """Eq. 7 with the hardware storage convention: ``+1 -> 1``, ``-1 -> 0``."""
+    x = np.asarray(x)
+    return (x >= 0).astype(np.uint8)
+
+
+def binary_dot(w_bin: Array, x_bin: Array) -> Array:
+    """Eq. 8: integer dot products of ±1 weights ``(H, D)`` and ±1 inputs
+    ``(D,)`` or ``(B, D)``, as ``(H,)`` or ``(B, H)`` int32."""
+    w_bin = np.asarray(w_bin, dtype=np.int32)
+    x_bin = np.asarray(x_bin, dtype=np.int32)
+    if x_bin.ndim == 1:
+        return w_bin @ x_bin
+    return x_bin @ w_bin.T
+
+
+def unpack_signs(packed: Array, n_bits: int) -> Array:
+    """Inverse of :func:`~repro.core.binarization.pack_signs`: the ±1 int8
+    signs of the first ``n_bits`` lanes along the last axis (padding bits
+    are dropped)."""
+    packed = np.ascontiguousarray(packed, dtype=np.uint64)
+    bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=n_bits)
+    return bits.astype(np.int8) * 2 - 1
+
+
+class ReferenceBinaryGate(BinaryGate):
+    """A :class:`~repro.core.bnn.BinaryGate` that also evaluates by the ±1
+    matmul, on weight signs unpacked from the gate's own packed words."""
+
+    @cached_property
+    def weights_bin(self) -> Array:
+        """``(N, D)`` ±1 int8 weight signs, unpacked on first use."""
+        return unpack_signs(self.weight_words.T, self.n_bits)
+
+    def evaluate(self, x: Array, h: Array) -> Array:
+        """±1 binary dot products for operands ``x`` (B, E) and ``h`` (B, R)."""
+        return self.evaluate_operand(np.concatenate([x, h], axis=-1))
+
+    def evaluate_operand(self, operand: Array) -> Array:
+        """±1 binary dot products for an already-concatenated ``[x ; h]``."""
+        operand = np.asarray(operand)
+        if operand.shape[-1] != self.n_bits:
+            raise ValueError(
+                f"operand width {operand.shape[-1]} != expected {self.n_bits}"
+            )
+        return binary_dot(self.weights_bin, binarize(operand))
 
 
 def reference_edit_distance(reference, hypothesis) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.translation import TranslationDataset
+from repro.metrics.bleu import corpus_bleu
 from repro.models.translation_model import TranslationModel
 from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer
@@ -54,8 +55,8 @@ class TestBeamSearch:
         model, dataset, test_idx = trained
         src = dataset.source[test_idx]
         refs = dataset.references(test_idx)
-        greedy = model.evaluate(src, refs, max_len=6)
-        beam = model.evaluate(src, refs, max_len=6, beam_width=4)
+        greedy = corpus_bleu(refs, model.translate(src, max_len=6))
+        beam = corpus_bleu(refs, model.translate_beam(src, max_len=6, beam_width=4))
         # Beam search optimises sequence log-prob, which on this noise-
         # free task should not hurt BLEU materially.
         assert beam >= greedy - 5.0

@@ -1,19 +1,14 @@
-"""Tests for sign binarization and binary dot products (Eq. 7-8)."""
+"""Tests for sign binarization and binary dot products (Eq. 7-8): the packed
+popcount kernel against the ±1 int8 matmul reference in ``helpers``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.binarization import (
-    binarize,
-    binarize_bits,
-    binary_dot,
-    binary_dot_packed,
-    pack_signs,
-    padded_bit_length,
-    unpack_signs,
-)
+from repro.core.binarization import binary_dot_packed, pack_signs, padded_bit_length
+
+from helpers import binarize, binarize_bits, binary_dot, unpack_signs
 
 
 class TestBinarize:

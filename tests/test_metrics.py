@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from repro.metrics import (
     accuracy,
-    accuracy_loss,
     bleu,
-    bleu_loss,
     corpus_bleu,
     edit_distance,
     pearson,
     wer,
-    wer_loss,
 )
+from repro.models.benchmark import quality_loss
 
 from helpers import reference_edit_distance
 
@@ -94,8 +92,9 @@ class TestWER:
             wer([[]], [[1]])
 
     def test_wer_loss_convention(self):
-        assert wer_loss(10.0, 12.5) == pytest.approx(2.5)
-        assert wer_loss(10.0, 9.0) == 0.0  # improvements clamp to zero
+        # WER loss is a rise; an improvement clamps to zero loss.
+        assert quality_loss(10.0, 12.5, higher_is_better=False) == pytest.approx(2.5)
+        assert quality_loss(10.0, 9.0, higher_is_better=False) == 0.0
 
 
 class TestBLEU:
@@ -150,8 +149,9 @@ class TestBLEU:
         assert bleu(refs, refs) == corpus_bleu(refs, refs)
 
     def test_bleu_loss_convention(self):
-        assert bleu_loss(29.8, 28.3) == pytest.approx(1.5)
-        assert bleu_loss(29.8, 30.5) == 0.0
+        # BLEU loss is a drop; an improvement clamps to zero loss.
+        assert quality_loss(29.8, 28.3, higher_is_better=True) == pytest.approx(1.5)
+        assert quality_loss(29.8, 30.5, higher_is_better=True) == 0.0
 
 
 class TestAccuracy:
@@ -173,8 +173,9 @@ class TestAccuracy:
             accuracy(np.array([]), np.array([]))
 
     def test_accuracy_loss_convention(self):
-        assert accuracy_loss(86.5, 85.0) == pytest.approx(1.5)
-        assert accuracy_loss(86.5, 90.0) == 0.0
+        # Accuracy loss is a drop; an improvement clamps to zero loss.
+        assert quality_loss(86.5, 85.0, higher_is_better=True) == pytest.approx(1.5)
+        assert quality_loss(86.5, 90.0, higher_is_better=True) == 0.0
 
 
 class TestPearson:

@@ -615,6 +615,20 @@ class TestTop:
         assert percentile_from_buckets(snapshot, 1.0) == 500.0
         assert percentile_from_buckets({"count": 0}, 0.5) == 0.0
 
+    def test_percentiles_never_exceed_the_max(self):
+        """Interpolation inside a wide bucket stops at the largest
+        observation: sixteen latencies in the (16, 32] ms bucket, all at
+        most 18.06 ms, must not read as 24-32 ms."""
+        histogram = Histogram("latency_ms", bounds_ms=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
+        for _ in range(15):
+            histogram.observe(17.0)
+        histogram.observe(18.06)
+        snapshot = histogram.snapshot()
+        p50, p95, p99 = (
+            percentile_from_buckets(snapshot, quantile) for quantile in (0.50, 0.95, 0.99)
+        )
+        assert p50 <= p95 <= p99 <= snapshot["max_ms"] == 18.06
+
     def test_render_serve_smoke(self):
         text = render_serve(
             {

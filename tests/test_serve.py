@@ -327,6 +327,25 @@ class TestBitwiseEquivalence:
         finally:
             shutdown()
 
+    def test_translation_rows_match_batch_path_through_loadgen(self):
+        """MNMT through the whole loadgen path: its row payloads, the
+        translation adapter's decode and the offline reference agree on
+        both sides of a mid-run retune."""
+        bench = load_benchmark("mnmt", scale="tiny")
+        server, _, shutdown = serve(bench)
+        try:
+            summary = run_loadgen(
+                server.url, "mnmt", requests=6, concurrency=2, batch=3,
+                verify=True, retune_theta=0.4,
+            )
+        finally:
+            shutdown()
+        assert summary["errors"] == []
+        assert summary["completed"] == 6
+        assert summary["verify"]["versions"] == [1, 2]
+        assert summary["verify"]["checked"] == 18
+        assert summary["verify"]["mismatches"] == 0
+
     def test_concurrent_traffic_with_live_retune(self, imdb):
         """N threads of traffic stay bitwise-correct across a mid-run
         theta PUT: every response is attributed to a scheme_version, and
