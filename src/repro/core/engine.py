@@ -159,8 +159,9 @@ def _iter_recurrent_children(
 def iter_recurrent_layers(model: Module) -> Iterator[Tuple[object, str]]:
     """Yield ``(layer, dotted_name)`` for every wrappable layer in walk
     order — the public face of the engine's wrapping walk, for callers
-    (like the serving tier) that build their own wrappers over a model's
-    recurrent layers without swapping them in place."""
+    (like the serving tier, which reports the layer names a retune may
+    override) that read a model's recurrent layers without wrapping
+    them."""
     for _, _, layer, dotted in _iter_recurrent_children(model):
         yield layer, dotted
 

@@ -118,12 +118,5 @@ class SpeechDataset:
         n_test = max(1, int(round(self.num_utterances * test_fraction)))
         return np.sort(order[n_test:]), np.sort(order[:n_test])
 
-    def decode_frames(self, frame_predictions: Array) -> List[Tuple[int, ...]]:
-        """Collapse per-frame argmax predictions into transcripts."""
-        frame_predictions = np.asarray(frame_predictions)
-        if frame_predictions.ndim != 2:
-            raise ValueError("expected (B, T) frame predictions")
-        return [collapse(row) for row in frame_predictions]
-
     def references(self, indices: Array) -> List[Tuple[int, ...]]:
         return [self.transcripts[i] for i in np.asarray(indices)]

@@ -8,7 +8,8 @@ evaluation under any :class:`~repro.core.engine.MemoizationScheme`.
 
 Each network's evaluation decisions are written once, here and in its
 :mod:`repro.models.zoo` subclass.  :meth:`Benchmark.rows` builds the
-model input for dataset rows and :meth:`Benchmark.outputs` decodes one
+model input for dataset rows, :meth:`Benchmark.validate_row` reads one
+such row from its JSON form, and :meth:`Benchmark.outputs` decodes one
 output per row; offline evaluation, serving
 (:mod:`repro.serve.state`) and the served == offline verifier
 (:func:`repro.serve.loadgen.expected_outputs`) all call them.
@@ -156,6 +157,14 @@ class Benchmark(ABC):
     on-disk result cache.
     """
 
+    #: The application domain: ``"sentiment"``, ``"speech"`` or
+    #: ``"translation"``.
+    task: str
+    #: Whether the model decodes an utterance chunk by chunk
+    #: (:meth:`repro.models.speech_model.SpeechModel.stream`), which a
+    #: unidirectional stack can and a bidirectional one cannot.
+    streamable = False
+
     def __init__(self, spec: NetworkSpec, seed: int = 0, scale: str = "tiny"):
         self.spec = spec
         self.seed = seed
@@ -185,6 +194,19 @@ class Benchmark(ABC):
         Row ``k`` of the batch is dataset row ``indices[k]``: token ids,
         feature frames or source tokens, as the network consumes them.
         Serving takes the same rows as JSON (``rows(indices).tolist()``).
+        """
+
+    @abstractmethod
+    def validate_row(self, row: object) -> Array:
+        """One model input row from its JSON form.
+
+        The inverse of ``rows(indices).tolist()`` for one row, and the
+        check every row from a client passes before it reaches the
+        model.
+
+        Raises:
+            ValueError: with a message for the client when ``row`` is
+                not a row this network takes.
         """
 
     @abstractmethod

@@ -7,7 +7,7 @@ is WER — matching how the paper's two speech networks are scored.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +81,34 @@ class SpeechModel(Module):
         """Collapse-decoded transcripts for a batch of utterances."""
         frame_predictions = self.forward(frames).argmax(axis=-1)
         return [collapse(row) for row in frame_predictions]
+
+    def stream(
+        self, frames: Array, states: Optional[List[object]] = None
+    ) -> Tuple[Array, List[object]]:
+        """Per-frame labels ``(B, T)`` for the next chunk of a stream, and
+        the stack's state after it.
+
+        ``states`` is what the previous chunk returned, or ``None`` to
+        start a stream.  Every layer steps through the chunk from its
+        state, so the labels of consecutive chunks join into the labels
+        ``forward(...).argmax(-1)`` gives the whole utterance, and a
+        memoized stack carries its memo state from chunk to chunk.  Only a
+        unidirectional stack streams: a backward direction would need the
+        utterance's end first.
+        """
+        hidden = np.asarray(frames, dtype=np.float64)
+        batch, steps, _ = hidden.shape
+        layers = self.stack.layers
+        if states is None:
+            states = [layer.start_state(batch) for layer in layers]
+        next_states = []
+        for layer, state in zip(layers, states):
+            out = np.empty((batch, steps, layer.hidden_size))
+            for t in range(steps):
+                out[:, t, :], state = layer.step(hidden[:, t, :], state)
+            next_states.append(state)
+            hidden = out
+        return self.classifier(hidden).argmax(axis=-1), next_states
 
     # -- training ----------------------------------------------------------------
 

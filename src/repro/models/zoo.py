@@ -39,8 +39,22 @@ def _check_scale(scale: str) -> None:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
 
 
+def _token_row(row: object, vocab: int, what: str) -> Array:
+    """A JSON token row: a non-empty list of ints in ``[0, vocab)``."""
+    if not isinstance(row, list) or not row:
+        raise ValueError(f"each {what} row must be a non-empty list of ints")
+    if not all(isinstance(token, int) and not isinstance(token, bool)
+               for token in row):
+        raise ValueError(f"{what} tokens must be integers")
+    if not all(0 <= token < vocab for token in row):
+        raise ValueError(f"{what} tokens must be in [0, {vocab})")
+    return np.asarray(row, dtype=np.int64)
+
+
 class SentimentBenchmark(Benchmark):
     """IMDB stand-in: Embedding -> 1-layer LSTM -> 2-way classifier."""
+
+    task = "sentiment"
 
     def __init__(self, scale: str = "tiny", seed: int = 0):
         _check_scale(scale)
@@ -81,6 +95,9 @@ class SentimentBenchmark(Benchmark):
     def rows(self, indices: Array) -> Array:
         return self.dataset.tokens[indices]
 
+    def validate_row(self, row: object) -> Array:
+        return _token_row(row, self.dataset.vocab_size, "token")
+
     def outputs(self, batch: Array, model=None) -> List[int]:
         model = self.model if model is None else model
         return [int(label) for label in model.predict(batch)]
@@ -107,6 +124,8 @@ class SentimentBenchmark(Benchmark):
 
 class _SpeechBenchmark(Benchmark):
     """Shared logic for the two speech networks."""
+
+    task = "speech"
 
     def __init__(self, spec: NetworkSpec, scale: str, seed: int):
         _check_scale(scale)
@@ -150,6 +169,24 @@ class _SpeechBenchmark(Benchmark):
     def rows(self, indices: Array) -> Array:
         return self.dataset.features[indices]
 
+    def validate_row(self, row: object) -> Array:
+        try:
+            frames = np.asarray(row, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError("each speech row must be a (frames x features) "
+                             "array of numbers") from None
+        if frames.ndim != 2 or frames.shape[0] < 1:
+            raise ValueError("each speech row must be a non-empty "
+                             "(frames x features) array")
+        if frames.shape[1] != self.dataset.feature_dim:
+            raise ValueError(
+                f"speech rows must have {self.dataset.feature_dim} features "
+                f"per frame, got {frames.shape[1]}"
+            )
+        if not np.isfinite(frames).all():
+            raise ValueError("speech rows must be finite numbers")
+        return frames
+
     def outputs(self, batch: Array, model=None) -> List[List[int]]:
         model = self.model if model is None else model
         return [list(transcript) for transcript in model.transcribe(batch)]
@@ -176,6 +213,8 @@ class _SpeechBenchmark(Benchmark):
 
 class DeepSpeechBenchmark(_SpeechBenchmark):
     """DeepSpeech2 stand-in: unidirectional GRU stack."""
+
+    streamable = True
 
     def __init__(self, scale: str = "tiny", seed: int = 0):
         super().__init__(PAPER_NETWORKS["deepspeech2"], scale, seed)
@@ -210,6 +249,8 @@ class EESENBenchmark(_SpeechBenchmark):
 
 class TranslationBenchmark(Benchmark):
     """MNMT stand-in: encoder-decoder LSTM scored with BLEU."""
+
+    task = "translation"
 
     def __init__(self, scale: str = "tiny", seed: int = 0):
         _check_scale(scale)
@@ -254,6 +295,9 @@ class TranslationBenchmark(Benchmark):
 
     def rows(self, indices: Array) -> Array:
         return self.dataset.source[indices]
+
+    def validate_row(self, row: object) -> Array:
+        return _token_row(row, self.dataset.vocab_size, "source")
 
     def outputs(self, batch: Array, model=None) -> List[List[int]]:
         """Greedy translations, decoded for ``length + 2`` steps: the

@@ -359,6 +359,11 @@ class JsonApiServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    #: Listen backlog.  socketserver's default of 5 overflows when a
+    #: burst of clients connects at once (a loadgen starting its
+    #: threads), and the kernel then drops each further SYN: that
+    #: client stalls about a second for the retransmit.
+    request_queue_size = socket.SOMAXCONN
 
     #: Prefix on event log lines; subclasses override.
     log_name = "api"

@@ -110,7 +110,7 @@ def expected_outputs(
     :meth:`~repro.models.benchmark.Benchmark.rows` and
     :meth:`~repro.models.benchmark.Benchmark.outputs` that
     :meth:`~repro.models.benchmark.Benchmark.evaluate_memoized` scores
-    and the server's adapters run: the reference every served output
+    and the server runs on its replicas: the reference every served output
     must equal.  The outputs are discrete (``int`` labels, token
     ``list``s), and row independence makes them independent of the
     batch/serve split; the float activations behind them are not, since

@@ -71,8 +71,8 @@ class InferenceHandler(JsonApiHandler):
             "model": state.benchmark.name,
             "scale": state.benchmark.scale,
             "seed": state.benchmark.seed,
-            "task": state.adapter.kind,
-            "streamable": state.adapter.streamable,
+            "task": state.benchmark.task,
+            "streamable": state.benchmark.streamable,
             "scheme_version": state.scheme_version,
             "replicas": state.replica_count,
             "coalesce_ms": state.coalesce_ms,

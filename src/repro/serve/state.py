@@ -1,8 +1,8 @@
 """Serving state: a pool of warm memoized replicas answering many requests.
 
 :class:`ServeState` is everything behind the HTTP surface of ``repro
-serve``.  Since PR 8 the compute side is a **replica pool**: N
-structural clones of the trained model (same weight arrays, private
+serve``.  The compute side is a **replica pool**: N structural
+clones of the trained model (same weight arrays, private
 :class:`~repro.core.layers.MemoizedRecurrentLayer` wrappers and memo
 state per clone — see
 :func:`repro.nn.module.clone_with_shared_parameters`) sit in a
@@ -40,19 +40,24 @@ re-wraps each under the new scheme via
 and returns the pool.  Every response reports the ``scheme_version`` it
 was served under so clients can attribute predictions to thresholds.
 
-Streaming sessions give one caller a *private* memoized view of the
-recurrent stack: fresh wrappers over the same weights, with predictor
-and memo state that persists across chunk requests instead of resetting
-per request.  Sessions carry a ``last_used`` stamp and are evicted after
+The state knows no network by name.  Every request row passes the
+benchmark's :meth:`~repro.models.benchmark.Benchmark.validate_row`, and
+every batch decodes through
+:meth:`~repro.models.benchmark.Benchmark.outputs` on a replica's model:
+the decode that offline evaluation and the verifier run too.
+
+Streaming sessions give one caller a *private* memoized model, built the
+way a replica is: a weight-sharing clone whose predictor and memo state
+persist across chunk requests instead of resetting per request.  A feed
+is one :meth:`~repro.models.speech_model.SpeechModel.stream` call, which
+steps the stack through the chunk from the session's state, so the
+joined chunk labels are the offline memoized forward's per-frame labels
+and the closing transcript is the one-shot transcript.  (A session steps
+one frame at a time, so its activations agree with the one-shot
+forward's to float tolerance, not bitwise; the labels are what compare.)
+Sessions carry a ``last_used`` stamp and are evicted after
 ``session_ttl`` seconds idle, so abandoned clients cannot permanently
-exhaust ``max_sessions``.  A chunked transcription equals the one-shot
-transcription of the concatenated frames: chunking only splits the
-timestep loop around preserved state.  (A session steps one frame at a
-time, so its activations agree with the one-shot forward's to float
-tolerance, not bitwise; the transcripts are what compare.)  Sessions
-wrap the same layers, so their feeds step one set of cells from several
-threads at once; the cells keep no per-call scratch, so concurrent
-sessions cannot see each other's products.
+exhaust ``max_sessions``.
 """
 
 from __future__ import annotations
@@ -74,13 +79,11 @@ from repro.core.engine import (
     restore,
     swap_scheme,
 )
-from repro.core.layers import wrap_layer
 from repro.core.stats import ReuseStats, ThreadSafeReuseStats
 from repro.datasets.speech import collapse
 from repro.models.benchmark import Benchmark
 from repro.nn.module import clone_with_shared_parameters
-from repro.nn.rnn import Bidirectional
-from repro.obs import EventLog, Histogram, MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry
 
 Array = np.ndarray
 
@@ -104,158 +107,6 @@ DEFAULT_SESSION_TTL = 600.0
 #: return a replica or finish jobs — so this bound is only reached if a
 #: wakeup is lost.
 _POOL_WAIT_S = 0.05
-
-#: Latency bucket upper bounds in milliseconds: log-spaced from 0.25 ms
-#: to ~2 minutes, covering sub-millisecond tiny-model hits through
-#: queued bench-scale batches.  The histogram is fixed-size, so metrics
-#: memory is bounded for the life of the server.
-LATENCY_BOUNDS_MS = tuple(0.25 * 2**i for i in range(19))
-
-
-class LatencyHistogram(Histogram):
-    """Fixed-bucket latency histogram, safe for concurrent observers.
-
-    Since PR 9 this is the registry :class:`~repro.obs.Histogram` under
-    its original name and constructor: ``observe(ms)`` and
-    ``snapshot()`` keep their PR 7 signatures and the snapshot shape is
-    unchanged, but the same series now also renders into the Prometheus
-    exposition at ``/metrics.prom``.
-    """
-
-    def __init__(self, bounds_ms: Sequence[float] = LATENCY_BOUNDS_MS):
-        super().__init__(
-            "repro_request_latency_ms",
-            "End-to-end inference latency in milliseconds.",
-            bounds_ms=bounds_ms,
-        )
-
-
-# -- task adapters -----------------------------------------------------------
-
-
-class TaskAdapter:
-    """Validates request rows and runs them through the benchmark's decode.
-
-    One adapter per application domain; ``validate_row`` raises
-    :class:`ValueError` with a client-worthy message (the HTTP layer maps
-    it to a 400), and ``infer`` turns validated rows into the
-    JSON-serializable outputs of
-    :meth:`~repro.models.benchmark.Benchmark.outputs` — the decode that
-    offline evaluation and the verifier run too.  Rows of equal shape are
-    stacked into one forward (the same outputs as per-row evaluation, by
-    the row-independence invariant); ragged batches run row-at-a-time.
-
-    ``infer`` takes the model to run explicitly so one adapter serves
-    every replica in the pool; without one it runs the benchmark's own
-    (unwrapped — no memoization) model.
-    """
-
-    kind = "generic"
-    streamable = False
-
-    def __init__(self, benchmark: Benchmark):
-        self.benchmark = benchmark
-
-    def validate_row(self, row: object) -> Array:
-        raise NotImplementedError
-
-    def infer(self, rows: List[Array], model=None) -> List[object]:
-        if all(row.shape == rows[0].shape for row in rows):
-            return self.benchmark.outputs(np.stack(rows), model)
-        outputs: List[object] = []
-        for row in rows:
-            outputs.extend(self.benchmark.outputs(row[None], model))
-        return outputs
-
-
-def _validate_token_row(row: object, vocab: int, what: str) -> Array:
-    if not isinstance(row, list) or not row:
-        raise ValueError(f"each {what} row must be a non-empty list of ints")
-    if not all(isinstance(token, int) and not isinstance(token, bool)
-               for token in row):
-        raise ValueError(f"{what} tokens must be integers")
-    if not all(0 <= token < vocab for token in row):
-        raise ValueError(f"{what} tokens must be in [0, {vocab})")
-    return np.asarray(row, dtype=np.int64)
-
-
-class SentimentAdapter(TaskAdapter):
-    """IMDB-style: token rows in, one class label per row out."""
-
-    kind = "sentiment"
-
-    def validate_row(self, row: object) -> Array:
-        return _validate_token_row(row, self.benchmark.dataset.vocab_size,
-                                   "token")
-
-
-class SpeechAdapter(TaskAdapter):
-    """Speech: (T, F) feature-frame rows in, collapse-decoded
-    transcripts out.  Streamable when the stack is unidirectional."""
-
-    kind = "speech"
-
-    def __init__(self, benchmark: Benchmark):
-        super().__init__(benchmark)
-        self.feature_dim = benchmark.dataset.feature_dim
-        self.streamable = not any(
-            isinstance(layer, Bidirectional)
-            for layer in benchmark.model.stack.layers
-        )
-
-    def validate_row(self, row: object) -> Array:
-        try:
-            frames = np.asarray(row, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValueError("each speech row must be a (frames x features) "
-                             "array of numbers") from None
-        if frames.ndim != 2 or frames.shape[0] < 1:
-            raise ValueError("each speech row must be a non-empty "
-                             "(frames x features) array")
-        if frames.shape[1] != self.feature_dim:
-            raise ValueError(
-                f"speech rows must have {self.feature_dim} features per "
-                f"frame, got {frames.shape[1]}"
-            )
-        if not np.isfinite(frames).all():
-            raise ValueError("speech rows must be finite numbers")
-        return frames
-
-
-class TranslationAdapter(TaskAdapter):
-    """MNMT-style: source-token rows in, greedy translations out.
-
-    The benchmark's decode runs a fixed number of steps for every row,
-    so a served row sees exactly the decoder steps it would inside any
-    offline batch — the precondition for equality with
-    ``evaluate_memoized``.
-    """
-
-    kind = "translation"
-
-    def validate_row(self, row: object) -> Array:
-        return _validate_token_row(row, self.benchmark.dataset.vocab_size,
-                                   "source")
-
-
-_ADAPTERS = {
-    "imdb": SentimentAdapter,
-    "deepspeech2": SpeechAdapter,
-    "eesen": SpeechAdapter,
-    "mnmt": TranslationAdapter,
-}
-
-
-def make_adapter(benchmark: Benchmark) -> TaskAdapter:
-    try:
-        adapter = _ADAPTERS[benchmark.name]
-    except KeyError:
-        raise ValueError(
-            f"no serving adapter for benchmark {benchmark.name!r}; "
-            f"known: {sorted(_ADAPTERS)}"
-        ) from None
-    return adapter(benchmark)
-
 
 # -- the replica pool --------------------------------------------------------
 
@@ -302,8 +153,8 @@ class _InferJob:
     def __init__(self, rows: List[Array], request_id: Optional[str] = None):
         self.rows = rows
         first = rows[0].shape
-        # Equal-shape rows stack with other jobs; ragged jobs ride alone
-        # (the adapter already falls back to row-at-a-time for them).
+        # Equal-shape rows stack with other jobs; a ragged job rides
+        # alone and runs one forward per row.
         self.shape_key: Optional[Tuple[int, ...]] = (
             first if all(row.shape == first for row in rows) else None
         )
@@ -329,26 +180,32 @@ class _InferJob:
 
 
 class StreamSession:
-    """One caller's private memoized view of the recurrent stack.
+    """One caller's private memoized model of a streamable network.
 
-    Wrappers are built over the *original* layers (same weights as the
-    pool's replicas) but with their own predictors and memo tables,
-    started once at open: chunk requests thread the recurrent state
-    through, so the memo stays warm across requests instead of resetting
-    — and the transcript of all chunks equals the one-shot transcript of
-    the full utterance.
+    Built the way a :class:`Replica` is: a clone sharing every weight
+    with the trained model, memoized under the scheme live at open and
+    recording into ``stats``.  ``states`` is the stack's state after the
+    chunks fed so far (``None`` before the first), so the memo stays warm
+    across requests instead of resetting.
 
     ``last_used`` drives idle eviction; ``lock`` serializes feeds into
     this session (feeds into *different* sessions run concurrently).
     """
 
-    def __init__(self, session_id: str, wrappers: List[object],
-                 scheme_version: int, theta: float):
+    def __init__(
+        self,
+        session_id: str,
+        model,
+        scheme: MemoizationScheme,
+        scheme_version: int,
+        stats: ThreadSafeReuseStats,
+    ):
         self.session_id = session_id
-        self.wrappers = wrappers
-        self.states = [wrapper.start_state(1) for wrapper in wrappers]
+        self.model = clone_with_shared_parameters(model)
+        apply_memoization(self.model, scheme, stats)
+        self.states: Optional[List[object]] = None
         self.scheme_version = scheme_version
-        self.theta = theta
+        self.theta = scheme.theta
         self.decoded: List[int] = []
         self.frames_fed = 0
         # Monotonic: last_used feeds idle-TTL spans, which must not
@@ -406,17 +263,15 @@ class ServeState:
             raise ValueError("coalesce_ms must be non-negative")
         benchmark.ensure_trained()
         self.benchmark = benchmark
-        self.adapter = make_adapter(benchmark)
-        #: Streaming-session wrappers record here; replica stats live on
-        #: the replicas and are merged in at read time.
+        #: Streaming sessions record here; replica stats live on the
+        #: replicas and are merged in at read time.
         self.stats = ThreadSafeReuseStats()
         self.lock = threading.RLock()
         self.scheme = scheme  # guarded-by: lock
         self.scheme_version = 1  # guarded-by: lock
-        #: (layer, dotted_name) in walk order over the *unwrapped* model
-        #: — the template sessions and clones are wrapped from.
-        self._recurrent_layers = list(iter_recurrent_layers(benchmark.model))
-        self.layer_names = [dotted for _, dotted in self._recurrent_layers]
+        self.layer_names = [
+            dotted for _, dotted in iter_recurrent_layers(benchmark.model)
+        ]
         self._replicas = [
             Replica(index, benchmark.model, scheme, self.scheme_version)
             for index in range(replicas)
@@ -438,8 +293,10 @@ class ServeState:
         #: events share one ``/metrics.prom`` / ``/api/v1/events``.
         self.registry = MetricsRegistry()
         self.events = EventLog()
-        self.latency = LatencyHistogram()
-        self.registry.register(self.latency)
+        self.latency = self.registry.histogram(
+            "repro_request_latency_ms",
+            "End-to-end inference latency in milliseconds.",
+        )
         self.stage_latency = self.registry.histogram(
             "repro_infer_stage_ms",
             "Per-request span timings by pipeline stage, in milliseconds.",
@@ -487,7 +344,7 @@ class ServeState:
                 f"at most {MAX_INFER_ROWS} rows per request, "
                 f"got {len(raw_rows)}"
             )
-        rows = [self.adapter.validate_row(row) for row in raw_rows]
+        rows = [self.benchmark.validate_row(row) for row in raw_rows]
         job = _InferJob(rows, request_id=request_id)
         with self._pending_cond:
             self._pending.append(job)
@@ -540,23 +397,29 @@ class ServeState:
         The stages are *contiguous segments* of one wall-clock interval
         — ``accepted`` through ``end`` — so their sum IS the measured
         total, exactly, with nothing double-counted or unattributed.
-        Each stage also lands in the ``repro_infer_stage_ms`` histogram.
         """
         claimed = job.claimed or job.started
         forward_start = job.forward_start or claimed
         forward_end = job.forward_end or forward_start
         finished = job.finished or forward_end
-        spans = (
+        return self._stage_timings((
             ("validate", job.started - accepted),
             ("queue_wait", claimed - job.started),
             ("gather", forward_start - claimed),
             ("forward", forward_end - forward_start),
             ("finalize", finished - forward_end),
             ("collect", end - finished),
-        )
+        ))
+
+    def _stage_timings(
+        self, stages: Sequence[Tuple[str, float]]
+    ) -> Dict[str, float]:
+        """Milliseconds per ``(stage, seconds)`` segment, plus their
+        ``total``; each stage also lands in the ``repro_infer_stage_ms``
+        histogram."""
         timings_ms: Dict[str, float] = {}
         total = 0.0
-        for stage, seconds in spans:
+        for stage, seconds in stages:
             stage_ms = 1000.0 * max(0.0, seconds)
             timings_ms[stage] = stage_ms
             total += stage_ms
@@ -633,7 +496,15 @@ class ServeState:
         for job in batch:
             job.forward_start = forward_start
         try:
-            outputs = self.adapter.infer(all_rows, model=replica.model)
+            if batch[0].shape_key is None:
+                # A ragged job (it rides alone): one forward per row.
+                outputs = [
+                    output
+                    for row in all_rows
+                    for output in self.benchmark.outputs(row[None], replica.model)
+                ]
+            else:
+                outputs = self.benchmark.outputs(np.stack(all_rows), replica.model)
         except BaseException as exc:
             # The error belongs to the batch's jobs, not to this leader,
             # whose own job may not be in the batch: each waiter raises
@@ -816,7 +687,7 @@ class ServeState:
                 )
 
     def open_session(self) -> Dict[str, object]:
-        if not self.adapter.streamable:
+        if not self.benchmark.streamable:
             raise ValueError(
                 f"model {self.benchmark.name!r} does not support streaming "
                 "sessions (only unidirectional speech stacks do)"
@@ -830,18 +701,12 @@ class ServeState:
                     "close one first"
                 )
             session_id = os.urandom(8).hex()
-            scheme = self.scheme
-            wrappers = [
-                wrap_layer(
-                    layer,
-                    scheme.with_theta(scheme.theta_for(dotted)).make_predictor,
-                    self.stats,
-                    name=dotted,
-                )
-                for layer, dotted in self._recurrent_layers
-            ]
             session = StreamSession(
-                session_id, wrappers, self.scheme_version, scheme.theta
+                session_id,
+                self.benchmark.model,
+                self.scheme,
+                self.scheme_version,
+                self.stats,
             )
             self.sessions[session_id] = session
             self.sessions_opened += 1
@@ -872,15 +737,13 @@ class ServeState:
         chunk: object,
         request_id: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Run one chunk of frames through a session's warm stack.
+        """Run one chunk of frames through a session's warm model.
 
         Feeds into different sessions run concurrently (each session's
-        wrappers are private); feeds into one session serialize on its
-        lock.  The classifier belongs to the shared unwrapped model and
-        is a pure function of its weights, so sharing it is race-free.
+        model is private); feeds into one session serialize on its lock.
         """
         accepted = time.perf_counter()
-        frames = self.adapter.validate_row(chunk)
+        frames = self.benchmark.validate_row(chunk)
         start = time.perf_counter()
         now = time.monotonic()
         with self.lock:
@@ -889,19 +752,12 @@ class ServeState:
             session.last_used = now
         with session.lock:
             forward_start = time.perf_counter()
-            hidden = frames[None]  # (1, T, F)
-            steps = hidden.shape[1]
-            for index, wrapper in enumerate(session.wrappers):
-                out = np.empty((1, steps, wrapper.hidden_size))
-                state = session.states[index]
-                for t in range(steps):
-                    out[:, t, :], state = wrapper.step(hidden[:, t, :], state)
-                session.states[index] = state
-                hidden = out
-            logits = self.benchmark.model.classifier(hidden)
-            predictions = [int(p) for p in logits.argmax(axis=-1)[0]]
+            labels, session.states = session.model.stream(
+                frames[None], session.states
+            )
+            predictions = labels[0].tolist()
             session.decoded.extend(predictions)
-            session.frames_fed += steps
+            session.frames_fed += len(predictions)
             session.last_used = time.monotonic()
         forward_end = time.perf_counter()
         with self._counters_lock:
@@ -911,20 +767,12 @@ class ServeState:
         self.latency.observe(1000.0 * (end - start))
         # Same contiguous-segment discipline as the batched path, with
         # session-shaped stages: the sum is exactly ``accepted -> end``.
-        spans = (
+        timings_ms = self._stage_timings((
             ("validate", start - accepted),
             ("session_wait", forward_start - start),
             ("forward", forward_end - forward_start),
             ("finalize", end - forward_end),
-        )
-        timings_ms: Dict[str, float] = {}
-        total = 0.0
-        for stage, seconds in spans:
-            stage_ms = 1000.0 * max(0.0, seconds)
-            timings_ms[stage] = stage_ms
-            total += stage_ms
-            self.stage_latency.observe(stage_ms, labels=(stage,))
-        timings_ms["total"] = total
+        ))
         self.events.emit(
             "infer",
             request_id=request_id,

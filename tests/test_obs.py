@@ -102,6 +102,7 @@ class TestRegistry:
         # Unobserved series snapshot as all-zero, same shape.
         empty = Histogram("e_ms", bounds_ms=(1.0,)).snapshot()
         assert empty["count"] == 0 and len(empty["buckets"]) == 1
+        assert empty["mean_ms"] == 0.0
 
     def test_registry_get_or_create_and_kind_collision(self):
         registry = MetricsRegistry()

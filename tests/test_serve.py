@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 from helpers import count_connections
 
-from repro.core.engine import MemoizationScheme
+from repro.core.engine import MemoizationScheme, memoized
+from repro.core.stats import ReuseStats
 from repro.models.zoo import load_benchmark
 from repro.runner.transport import http_common
 from repro.serve import (
@@ -35,7 +36,6 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.loadgen import expected_outputs, scheme_from_info
-from repro.serve.state import LatencyHistogram
 
 THETA = 0.05
 
@@ -55,6 +55,33 @@ def serve(benchmark, scheme=None, **server_kwargs):
     return server, state, shutdown
 
 
+def assert_rejected(client, body, message):
+    """``body`` posted to ``/infer`` gets a 400 carrying ``message``."""
+    with pytest.raises(ServeError) as excinfo:
+        client.post("/api/v1/infer", body)
+    assert excinfo.value.status == 400
+    assert str(excinfo.value) == f"HTTP 400: {message}"
+
+
+def speech_row_rejections(width):
+    """Malformed frame rows for a ``width``-feature speech network, each
+    with the message its validator answers."""
+    frame = [0.0] * width
+    not_a_matrix = "each speech row must be a non-empty (frames x features) array"
+    return (
+        ([frame + [0.0]],
+         f"speech rows must have {width} features per frame, got {width + 1}"),
+        ([frame, [float("nan")] * width], "speech rows must be finite numbers"),
+        ([frame, [float("inf")] * width], "speech rows must be finite numbers"),
+        (frame, not_a_matrix),
+        ([], not_a_matrix),
+        ([["a"] * width],
+         "each speech row must be a (frames x features) array of numbers"),
+        ([frame, frame[1:]],
+         "each speech row must be a (frames x features) array of numbers"),
+    )
+
+
 @pytest.fixture
 def imdb():
     return load_benchmark("imdb", scale="tiny")
@@ -67,21 +94,33 @@ def imdb_rows(imdb):
 
 
 class TestLatencyHistogram:
-    def test_counts_and_summary(self):
-        hist = LatencyHistogram(bounds_ms=(1.0, 10.0, 100.0))
-        for value in (0.5, 5.0, 50.0, 5000.0):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 4
-        assert snap["overflow"] == 1
-        assert snap["max_ms"] == 5000.0
-        cumulative = [bucket["count"] for bucket in snap["buckets"]]
-        assert cumulative == [1, 2, 3]
+    """The request-latency series a serving state registers: the registry
+    histogram behind ``/metrics`` ``latency_ms`` and ``/metrics.prom``."""
 
-    def test_empty(self):
-        snap = LatencyHistogram().snapshot()
-        assert snap["count"] == 0
-        assert snap["mean_ms"] == 0.0
+    def test_counts_and_summary(self, imdb):
+        state = ServeState(imdb, MemoizationScheme(theta=THETA))
+        try:
+            assert state.registry.get("repro_request_latency_ms") is state.latency
+            for value in (0.5, 5.0, 50.0, 5000.0, 1e6):
+                state.latency.observe(value)
+            snap = state.metrics()["inference"]["latency_ms"]
+            assert snap["count"] == 5
+            assert snap["overflow"] == 1
+            assert snap["max_ms"] == 1e6
+            cumulative = {bucket["le_ms"]: bucket["count"]
+                          for bucket in snap["buckets"]}
+            assert [cumulative[le] for le in (1.0, 8.0, 64.0, 8192.0)] == [1, 2, 3, 4]
+        finally:
+            state.unwrap()
+
+    def test_empty(self, imdb):
+        state = ServeState(imdb, MemoizationScheme(theta=THETA))
+        try:
+            snap = state.metrics()["inference"]["latency_ms"]
+            assert snap["count"] == 0
+            assert snap["mean_ms"] == 0.0
+        finally:
+            state.unwrap()
 
 
 class TestEndpoints:
@@ -129,6 +168,53 @@ class TestEndpoints:
                     client.post("/api/v1/infer", bad)
                 assert excinfo.value.status == 400
         finally:
+            shutdown()
+
+    @pytest.mark.parametrize("network,what", [("imdb", "token"), ("mnmt", "source")])
+    def test_token_row_rejections(self, network, what):
+        bench = load_benchmark(network, scale="tiny")
+        vocab = bench.dataset.vocab_size
+        server, _, shutdown = serve(bench)
+        client = ServeClient(server.url)
+        try:
+            for row, message in (
+                ([True, False], f"{what} tokens must be integers"),
+                ([], f"each {what} row must be a non-empty list of ints"),
+                ("1 2 3", f"each {what} row must be a non-empty list of ints"),
+                ([1, vocab], f"{what} tokens must be in [0, {vocab})"),
+                ([-1], f"{what} tokens must be in [0, {vocab})"),
+                (["a", "b"], f"{what} tokens must be integers"),
+                ([1.0, 2.0], f"{what} tokens must be integers"),
+            ):
+                assert_rejected(client, {"inputs": [row]}, message)
+        finally:
+            client.close()
+            shutdown()
+
+    @pytest.mark.parametrize("network", ["deepspeech2", "eesen"])
+    def test_speech_row_rejections(self, network):
+        bench = load_benchmark(network, scale="tiny")
+        server, _, shutdown = serve(bench)
+        client = ServeClient(server.url)
+        try:
+            for row, message in speech_row_rejections(bench.dataset.feature_dim):
+                assert_rejected(client, {"inputs": [row]}, message)
+        finally:
+            client.close()
+            shutdown()
+
+    def test_session_chunk_rejections(self):
+        bench = load_benchmark("deepspeech2", scale="tiny")
+        server, _, shutdown = serve(bench)
+        client = ServeClient(server.url)
+        try:
+            sid = client.post("/api/v1/session/open", {})["session"]
+            for row, message in speech_row_rejections(bench.dataset.feature_dim):
+                assert_rejected(client, {"session": sid, "input": row}, message)
+            closed = client.post("/api/v1/session/close", {"session": sid})
+            assert closed["frames"] == 0
+        finally:
+            client.close()
             shutdown()
 
     def test_unknown_endpoint_and_method(self, imdb):
@@ -489,6 +575,28 @@ class TestStreamingSessions:
             assert len(chunk_preds) == steps
         finally:
             shutdown()
+
+    @pytest.mark.parametrize("theta", [0.0, 0.05, 0.3])
+    def test_session_labels_are_the_offline_frame_labels(self, theta):
+        """Every test utterance fed in two chunks: the joined chunk labels
+        are the memoized offline forward's per-frame argmax."""
+        bench = load_benchmark("deepspeech2", scale="tiny")
+        scheme = MemoizationScheme(theta=theta)
+        state = ServeState(bench, scheme)
+        try:
+            for index in bench.test_idx:
+                frames = bench.dataset.features[index]
+                with memoized(bench.model, scheme, ReuseStats()):
+                    expected = bench.model.forward(frames[None]).argmax(-1)[0]
+                sid = state.open_session()["session"]
+                split = frames.shape[0] // 3
+                labels = []
+                for chunk in (frames[:split], frames[split:]):
+                    labels.extend(state.session_feed(sid, chunk.tolist())["outputs"][0])
+                state.close_session(sid)
+                assert labels == expected.tolist(), f"utterance {index}"
+        finally:
+            state.unwrap()
 
     def test_unknown_session_is_404(self):
         bench = load_benchmark("deepspeech2", scale="tiny")

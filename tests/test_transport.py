@@ -32,7 +32,12 @@ from repro.runner import (
     payload_key,
 )
 from repro.runner.transport import http_common
-from repro.runner.transport.http_common import GZIP_MIN_BYTES, KeepAliveClient
+from repro.runner.transport.http_common import (
+    GZIP_MIN_BYTES,
+    JsonApiHandler,
+    JsonApiServer,
+    KeepAliveClient,
+)
 
 
 def sample_payload(tag: int = 0):
@@ -507,6 +512,29 @@ class TestKeepAlive:
         finally:
             conn.close()
             server.stop()
+
+
+class TestListenBacklog:
+    def test_a_connect_burst_fits_the_accept_queue(self):
+        """Connects the serve loop has not accepted yet wait in the listen
+        backlog.  A full backlog drops each further SYN, and its client
+        stalls about a second for the retransmit."""
+        server = JsonApiServer("127.0.0.1", 0, JsonApiHandler, {}, quiet=True)
+        clients = []
+        stalled = 0
+        try:
+            for _ in range(32):
+                try:
+                    clients.append(
+                        socket.create_connection(server.server_address, timeout=0.5)
+                    )
+                except TimeoutError:
+                    stalled += 1
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()
+        assert stalled == 0, f"{stalled} of 32 connects timed out"
 
 
 class TestReconnect:
