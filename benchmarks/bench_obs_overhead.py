@@ -229,7 +229,6 @@ def obs_report():
                     for phase in layer["phases"].values()
                 ),
                 "project_s": sum(layer["project_s"] for layer in layers.values()),
-                "table_allocations": len(run.profile.get("table_allocations", [])),
             }
         networks[name] = entry
     base_total = sum(run.seconds["baseline"] for run in _runs.values())

@@ -128,7 +128,6 @@ def test_serve_point(benchmark, serve_report, trained_benchmark, theta):
         benchmark.pedantic(run, rounds=1, iterations=1)
     finally:
         server.stop()
-        state.unwrap()
     summary = summaries[-1]
     assert summary["errors"] == [], summary["errors"]
     assert summary["completed"] == REQUESTS
@@ -181,7 +180,6 @@ def test_replica_point(
         benchmark.pedantic(run, rounds=1, iterations=1)
     finally:
         server.stop()
-        state.unwrap()
     summary = summaries[-1]
     assert summary["errors"] == [], summary["errors"]
     assert summary["completed"] == REPLICA_REQUESTS

@@ -63,10 +63,6 @@ class EPURConfig:
     def cycle_seconds(self) -> float:
         return 1.0 / self.frequency_hz
 
-    @property
-    def total_weight_buffer_bytes(self) -> int:
-        return self.num_cus * self.weight_buffer_bytes
-
 
 #: The configuration used throughout the paper's evaluation.
 DEFAULT_CONFIG = EPURConfig()

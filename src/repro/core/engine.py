@@ -11,6 +11,12 @@ exit.  Model evaluation code does not change at all::
         metric = evaluate(model, test_set)
     print(stats.reuse_percent())
 
+Wrapping builds first and swaps second: every layer's wrapper exists
+before any layer is swapped, so a failed wrap raises with the model
+untouched and there is nothing to roll back.  Nothing re-wraps a model
+in place: ``repro serve`` retunes by building fresh memoized clones
+(:func:`repro.serve.state.memoized_clone`).
+
 A *stack* of schemes evaluates several thresholds in one pass: the batch
 is ``len(schemes)`` blocks of ``rows`` rows, block ``k`` runs under
 ``schemes[k]``, and a :class:`~repro.core.stats.BlockReuseRecorder`
@@ -43,7 +49,7 @@ from repro.core.predictors import (
     OracleGatePredictor,
     Threshold,
 )
-from repro.core.stats import ReuseRecorder, ReuseStats
+from repro.core.stats import ReuseRecorder
 from repro.nn.module import Module
 
 Array = np.ndarray
@@ -226,36 +232,32 @@ def apply_memoization(
     :meth:`ReuseStats.record`'s signature; a stack records through a
     :class:`~repro.core.stats.BlockReuseRecorder`.
 
-    The walk is atomic: if wrapping any layer fails (a bad per-layer
-    threshold, a predictor construction error), every layer already
-    swapped is restored before the exception propagates, so a failed
-    application never leaves the model half-memoized.
+    Every layer's wrapper is built before any layer is swapped, so a
+    failed build (a bad per-layer threshold, a predictor construction
+    error) raises with the model untouched.
 
     Raises:
         ValueError: if the model contains no recurrent layers, or on an
             invalid stack.
     """
     schemes = scheme_stack(scheme, rows)
-    replacements: List[_Replacement] = []
-    try:
-        for parent, attr, layer, dotted in _iter_recurrent_children(model):
-            factory = partial(
-                schemes[0].make_predictor,
-                theta=layer_threshold(schemes, rows, dotted),
-            )
-            wrapper = wrap_layer(layer, factory, stats, name=dotted)
-            replacements.append(_Replacement(parent, attr, layer))
-            # The wrapper is not a Module; remove the child registration so
-            # parameter traversal still sees the original weights through the
-            # record we keep, then restore re-registers the layer.
-            del parent._children[attr]
-            object.__setattr__(parent, attr, wrapper)
-    except Exception:
-        restore(replacements)
-        raise
-    if not replacements:
+    swaps: List[Tuple[_Replacement, object]] = []
+    for parent, attr, layer, dotted in _iter_recurrent_children(model):
+        factory = partial(
+            schemes[0].make_predictor,
+            theta=layer_threshold(schemes, rows, dotted),
+        )
+        wrapper = wrap_layer(layer, factory, stats, name=dotted)
+        swaps.append((_Replacement(parent, attr, layer), wrapper))
+    if not swaps:
         raise ValueError("model contains no recurrent layers to memoize")
-    return replacements
+    for record, wrapper in swaps:
+        # The wrapper is not a Module; remove the child registration so
+        # parameter traversal still sees the original weights through the
+        # record we keep, then restore re-registers the layer.
+        del record.parent._children[record.attr]
+        object.__setattr__(record.parent, record.attr, wrapper)
+    return [record for record, _ in swaps]
 
 
 def restore(replacements: List[_Replacement]) -> None:
@@ -279,34 +281,6 @@ def restore(replacements: List[_Replacement]) -> None:
         }
         parent._children.clear()
         parent._children.update(ordered)
-
-
-def swap_scheme(
-    model: Module,
-    replacements: List[_Replacement],
-    old_scheme: MemoizationScheme,
-    new_scheme: MemoizationScheme,
-    stats: ReuseStats,
-) -> List[_Replacement]:
-    """Atomically re-wrap a memoized ``model`` under ``new_scheme``.
-
-    The live-retuning primitive behind ``repro serve``'s theta endpoint:
-    ``model`` must currently be wrapped (``replacements`` from the
-    earlier :func:`apply_memoization` under ``old_scheme``).  On success
-    the fresh replacement records are returned *and* ``replacements`` is
-    updated in place, so the caller's handle stays valid either way.  If
-    wrapping under ``new_scheme`` fails, the model is re-wrapped under
-    ``old_scheme`` and the original exception re-raised — a failed
-    retune never leaves the model unwrapped or half-wrapped.
-    """
-    restore(replacements)
-    try:
-        fresh = apply_memoization(model, new_scheme, stats)
-    except Exception:
-        replacements[:] = apply_memoization(model, old_scheme, stats)
-        raise
-    replacements[:] = fresh
-    return replacements
 
 
 @contextmanager

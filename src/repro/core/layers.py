@@ -76,7 +76,7 @@ class MemoizedRecurrentLayer:
         for phase in self.cell.PHASES:
             w_x, w_h = self.cell.stacked_gate_weights(phase.gates)
             self._phase_predictors.append(predictor_factory(w_x, w_h))
-            self._tables.append(MemoTable(w_x.shape[0], profile_key=(name, phase.index)))
+            self._tables.append(MemoTable(w_x.shape[0]))
 
     # -- sequence lifecycle --------------------------------------------------
 

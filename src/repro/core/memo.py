@@ -17,11 +17,9 @@ the fresh pre-activations as the memo.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from repro.obs import profiler as _profiler
 
 Array = np.ndarray
 
@@ -35,28 +33,18 @@ class MemoTable:
             the first :meth:`begin_sequence`.
         memo: the memoized ``(B, neurons)`` pre-activations, or ``None``
             on a fresh sequence (nothing is memoized yet).
-        profile_key: optional ``(layer, phase_index)`` identity reported
-            to an installed :class:`~repro.obs.profiler.Profiler` when
-            the batch shape changes.
     """
 
-    def __init__(self, neurons: int, profile_key: Optional[Tuple[str, int]] = None):
+    def __init__(self, neurons: int):
         if neurons <= 0:
             raise ValueError("neurons must be positive")
         self.neurons = neurons
         self.batch: Optional[int] = None
         self.memo: Optional[Array] = None
-        self.profile_key = profile_key
 
     def begin_sequence(self, batch: int) -> None:
         """Mark the memo empty for a new batch of ``batch`` sequences."""
-        if batch != self.batch:
-            self.batch = batch
-            # A new batch shape is the cold path (once per shape), so the
-            # profiler check costs nothing on the per-timestep path.
-            if self.profile_key is not None and _profiler.ACTIVE is not None:
-                layer, phase_index = self.profile_key
-                _profiler.ACTIVE.record_table(layer, phase_index, batch, self.neurons)
+        self.batch = batch
         self.memo = None
 
     def substitute(self, reuse_mask: Array, fresh: Array) -> Array:

@@ -8,7 +8,7 @@ that convention.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 Token = object  # hashable token: str, int, ...
 
@@ -59,10 +59,3 @@ def wer(
     if total_tokens == 0:
         raise ValueError("references contain no tokens")
     return 100.0 * total_edits / total_tokens
-
-
-def align_lengths(
-    reference: Sequence[Token], hypothesis: Sequence[Token]
-) -> Tuple[int, int, int]:
-    """Convenience stats: ``(edits, ref_len, hyp_len)`` for one pair."""
-    return edit_distance(reference, hypothesis), len(reference), len(hypothesis)

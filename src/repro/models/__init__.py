@@ -10,7 +10,6 @@ from repro.models.zoo import (
     EESENBenchmark,
     SentimentBenchmark,
     TranslationBenchmark,
-    all_benchmarks,
     build_benchmark,
     load_benchmark,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "SpeechModel",
     "TranslationBenchmark",
     "TranslationModel",
-    "all_benchmarks",
     "build_benchmark",
     "load_benchmark",
 ]

@@ -170,14 +170,21 @@ class _SpeechBenchmark(Benchmark):
         return self.dataset.features[indices]
 
     def validate_row(self, row: object) -> Array:
+        not_numbers = "each speech row must be a (frames x features) array of numbers"
         try:
             frames = np.asarray(row, dtype=np.float64)
         except (TypeError, ValueError):
-            raise ValueError("each speech row must be a (frames x features) "
-                             "array of numbers") from None
+            raise ValueError(not_numbers) from None
         if frames.ndim != 2 or frames.shape[0] < 1:
             raise ValueError("each speech row must be a non-empty "
                              "(frames x features) array")
+        # np.asarray reads booleans and numeric strings as numbers too.
+        if not all(
+            isinstance(cell, (int, float)) and not isinstance(cell, bool)
+            for frame in row
+            for cell in frame
+        ):
+            raise ValueError(not_numbers)
         if frames.shape[1] != self.dataset.feature_dim:
             raise ValueError(
                 f"speech rows must have {self.dataset.feature_dim} features "
@@ -364,8 +371,3 @@ def load_benchmark(
             benchmark.train()
         _CACHE[key] = benchmark
     return _CACHE[key]
-
-
-def all_benchmarks(scale: str = "tiny", seed: int = 0) -> List[Benchmark]:
-    """All four Table 1 networks, trained and cached."""
-    return [load_benchmark(name, scale=scale, seed=seed) for name in _BUILDERS]

@@ -17,8 +17,6 @@ seconds, substitution seconds, reuse counts, and per-step wall time
 (compute time is the step total minus the instrumented parts).  A
 forward's input projection runs once per sequence, before its first
 step, and is fenced on its own: ``project_s`` per layer.
-:class:`~repro.core.memo.MemoTable` reports buffer (re)allocations from
-its cold path.
 
 Profiling is process-global by design: one ``repro serve`` process owns
 one model, and a scoped install/uninstall pair is how benchmarks and
@@ -53,14 +51,13 @@ class _PhaseRecord:
 
 
 class Profiler:
-    """Accumulates phase/step/table measurements from the engine."""
+    """Accumulates phase, step and projection measurements from the engine."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._phases: Dict[Tuple[str, int], _PhaseRecord] = {}
         self._steps: Dict[str, List[float]] = {}  # layer -> [calls, seconds]
         self._projections: Dict[str, float] = {}  # layer -> seconds
-        self._tables: List[Dict[str, object]] = []
 
     # -- recording (called by the engine, only when installed) ---------------
 
@@ -98,20 +95,6 @@ class Profiler:
         with self._lock:
             self._projections[layer] = self._projections.get(layer, 0.0) + seconds
 
-    def record_table(
-        self, layer: str, phase_index: int, batch: int, neurons: int
-    ) -> None:
-        """A memo-table buffer (re)allocation — the cold path only."""
-        with self._lock:
-            self._tables.append(
-                {
-                    "layer": layer,
-                    "phase": phase_index,
-                    "batch": batch,
-                    "neurons": neurons,
-                }
-            )
-
     # -- reading -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -126,7 +109,6 @@ class Profiler:
             }
             steps = {layer: tuple(entry) for layer, entry in self._steps.items()}
             projections = dict(self._projections)
-            tables = [dict(entry) for entry in self._tables]
         layers: Dict[str, Dict[str, object]] = {}
         for (layer, phase_index), values in sorted(phases.items()):
             gates, calls, predict_s, substitute_s, reused, total = values
@@ -154,7 +136,7 @@ class Profiler:
             entry["compute_s"] = max(0.0, seconds - instrumented)
         for layer, seconds in projections.items():
             layers.setdefault(layer, _layer_entry())["project_s"] = seconds
-        return {"layers": layers, "table_allocations": tables}
+        return {"layers": layers}
 
 
 def _layer_entry() -> Dict[str, object]:

@@ -72,7 +72,8 @@ class Counter(Metric):
 
     :meth:`inc` is the normal write path.  :meth:`set_total` exists for
     *mirrored* counters — monotonic counts maintained elsewhere (e.g.
-    ``ServeState.rows_served`` under its own lock) that a scrape copies
+    ``ServeState.rows_served``, under the serving state's pending
+    condition) that a scrape copies
     into the registry; it never lowers the stored value, preserving the
     monotonic contract a Prometheus counter promises.
     """

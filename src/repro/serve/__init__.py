@@ -1,9 +1,9 @@
 """Online fuzzy-memoized inference: ``repro serve`` and its load generator.
 
 The serving stack answers the deployment question behind the paper's
-memoization story: the model is loaded and wrapped *once*, memo buffers
-stay warm across requests, and the reuse threshold is retunable live —
-per layer — without a restart.  See :mod:`repro.serve.server` for the
+memoization story: the model is loaded *once* and served by memoized
+clones whose memo buffers stay warm across requests, and the reuse
+threshold is retunable live — per layer — without a restart.  See :mod:`repro.serve.server` for the
 HTTP surface and :mod:`repro.serve.state` for the serving semantics.
 """
 

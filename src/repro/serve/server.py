@@ -172,7 +172,7 @@ class InferenceServer(JsonApiServer):
     """One warm memoized model served over HTTP.
 
     Args:
-        state: the :class:`ServeState` to serve (model already wrapped).
+        state: the :class:`ServeState` to serve (replicas already built).
         host / port: bind address; port ``0`` picks an ephemeral port.
         token: shared secret; ``None`` serves unauthenticated (loopback
             testing).  Production deployments should always set one.

@@ -1,14 +1,13 @@
 """Serving state: a pool of warm memoized replicas answering many requests.
 
 :class:`ServeState` is everything behind the HTTP surface of ``repro
-serve``.  The compute side is a **replica pool**: N structural
-clones of the trained model (same weight arrays, private
+serve``.  The compute side is a **replica pool**: N memoized clones of
+the trained model (same weight arrays, private
 :class:`~repro.core.layers.MemoizedRecurrentLayer` wrappers and memo
-state per clone — see
-:func:`repro.nn.module.clone_with_shared_parameters`) sit in a
-:class:`queue.Queue`; a request checks a replica out, runs its forward,
-and puts it back, so K concurrent ``/infer`` requests run up to N
-forwards genuinely in parallel.  The repo's row-independence invariant —
+state per clone — see :func:`memoized_clone`) sit in an idle list; a
+request checks a replica out, runs its forward, and puts it back, so K
+concurrent ``/infer`` requests run up to N forwards genuinely in
+parallel.  The repo's row-independence invariant —
 no row's computation reads another row of its batch or depends on which
 wrapper instance computes it — makes every replica return the same
 outputs (labels, transcripts, translations) as a single unpooled model
@@ -31,14 +30,19 @@ the few-builders/many-front-ends topology of the DAQ event-builder
 papers: many cheap HTTP acceptor threads feeding a small set of compute
 replicas.  Coalescing is latency policy only — by row independence the
 stacked forward returns the same outputs as the per-request forwards.
+One condition, ``_pending_cond``, guards the pending queue, the idle
+list and the serving counters; a request waiting for a replica sleeps
+on it until a leader or a retune hands replicas back.
 
-Live retuning swaps the scheme across the *whole pool* atomically: the
-retune checks out every replica (waiting for in-flight forwards, which
-therefore finish under the scheme of the replica they checked out),
-re-wraps each under the new scheme via
-:func:`repro.core.engine.swap_scheme`, bumps ``scheme_version`` once,
-and returns the pool.  Every response reports the ``scheme_version`` it
-was served under so clients can attribute predictions to thresholds.
+Live retuning builds, then swaps.  A retune first builds one memoized
+clone per replica under the new scheme while the pool keeps serving; a
+failed build therefore raises before anything changed.  It then drains
+the pool (waits until every replica is idle and holds them all, so
+in-flight forwards finish under the scheme they started with), points
+each replica at its clone, bumps ``scheme_version`` once, and returns
+the pool.  ``/infer`` traffic waits for the drain and the pointer swaps,
+not for the build.  Every response reports the ``scheme_version`` it was
+served under so clients can attribute predictions to thresholds.
 
 The state knows no network by name.  Every request row passes the
 benchmark's :meth:`~repro.models.benchmark.Benchmark.validate_row`, and
@@ -47,7 +51,7 @@ every batch decodes through
 the decode that offline evaluation and the verifier run too.
 
 Streaming sessions give one caller a *private* memoized model, built the
-way a replica is: a weight-sharing clone whose predictor and memo state
+way a replica is (:func:`memoized_clone`), whose predictor and memo state
 persist across chunk requests instead of resetting per request.  A feed
 is one :meth:`~repro.models.speech_model.SpeechModel.stream` call, which
 steps the stack through the chunk from the session's state, so the
@@ -64,7 +68,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import time
 from dataclasses import replace
@@ -76,10 +79,8 @@ from repro.core.engine import (
     MemoizationScheme,
     apply_memoization,
     iter_recurrent_layers,
-    restore,
-    swap_scheme,
 )
-from repro.core.stats import ReuseStats, ThreadSafeReuseStats
+from repro.core.stats import ReuseRecorder, ReuseStats, ThreadSafeReuseStats
 from repro.datasets.speech import collapse
 from repro.models.benchmark import Benchmark
 from repro.nn.module import clone_with_shared_parameters
@@ -102,25 +103,32 @@ DEFAULT_COALESCE_MS = 2.0
 #: non-positive TTL disables eviction.
 DEFAULT_SESSION_TTL = 600.0
 
-#: Safety-net sleep for a request thread waiting on a replica.  The real
-#: wake path is the pending condition — leaders notify it whenever they
-#: return a replica or finish jobs — so this bound is only reached if a
-#: wakeup is lost.
-_POOL_WAIT_S = 0.05
-
 # -- the replica pool --------------------------------------------------------
 
 
-class Replica:
-    """One independently-wrapped compute copy of the served model.
+def memoized_clone(model, scheme: MemoizationScheme, stats: ReuseRecorder):
+    """A weight-sharing clone of ``model``, memoized under ``scheme``.
 
-    The model is a structural clone sharing every weight array with the
-    benchmark's trained model; memoization wrappers, predictors and memo
-    tables are private, as is the :class:`ThreadSafeReuseStats` the
-    wrappers record into — so replicas never contend on a stats lock in
-    the inference hot path.  Exclusive use is guaranteed by pool
-    checkout, and ``scheme``/``scheme_version`` are only rewritten by a
-    retune that holds the checkout.
+    The clone shares every weight array with ``model`` (see
+    :func:`repro.nn.module.clone_with_shared_parameters`) and owns its
+    wrappers, predictors and memo tables, which record into ``stats``.
+    ``model`` itself is never wrapped, and the clone is never unwrapped:
+    a new scheme gets a new clone.
+    """
+    clone = clone_with_shared_parameters(model)
+    apply_memoization(clone, scheme, stats)
+    return clone
+
+
+class Replica:
+    """One independently-memoized compute copy of the served model.
+
+    ``model`` is a :func:`memoized_clone` of the benchmark's trained
+    model, recording into the replica's own
+    :class:`ThreadSafeReuseStats` — so replicas never contend on a stats
+    lock in the inference hot path.  Exclusive use is guaranteed by pool
+    checkout, and ``model``/``scheme``/``scheme_version`` are only
+    rewritten by a retune that holds the whole drained pool.
     """
 
     def __init__(
@@ -131,9 +139,8 @@ class Replica:
         scheme_version: int,
     ):
         self.index = index
-        self.model = clone_with_shared_parameters(model)
         self.stats = ThreadSafeReuseStats()
-        self.replacements = apply_memoization(self.model, scheme, self.stats)
+        self.model = memoized_clone(model, scheme, self.stats)
         self.scheme = scheme
         self.scheme_version = scheme_version
         self.requests_served = 0
@@ -182,9 +189,9 @@ class _InferJob:
 class StreamSession:
     """One caller's private memoized model of a streamable network.
 
-    Built the way a :class:`Replica` is: a clone sharing every weight
-    with the trained model, memoized under the scheme live at open and
-    recording into ``stats``.  ``states`` is the stack's state after the
+    Built the way a :class:`Replica` is: a :func:`memoized_clone` of the
+    trained model under the scheme live at open, recording into
+    ``stats``.  ``states`` is the stack's state after the
     chunks fed so far (``None`` before the first), so the memo stays warm
     across requests instead of resetting.
 
@@ -201,8 +208,7 @@ class StreamSession:
         stats: ThreadSafeReuseStats,
     ):
         self.session_id = session_id
-        self.model = clone_with_shared_parameters(model)
-        apply_memoization(self.model, scheme, stats)
+        self.model = memoized_clone(model, scheme, stats)
         self.states: Optional[List[object]] = None
         self.scheme_version = scheme_version
         self.theta = scheme.theta
@@ -276,18 +282,16 @@ class ServeState:
             Replica(index, benchmark.model, scheme, self.scheme_version)
             for index in range(replicas)
         ]
-        self._pool: "queue.Queue[Replica]" = queue.Queue()
-        for replica in self._replicas:
-            self._pool.put(replica)
         self.coalesce_ms = float(coalesce_ms)
         self._coalesce_s = self.coalesce_ms / 1000.0
-        self._pending: List[_InferJob] = []  # guarded-by: _pending_cond
+        #: Guards the pending queue, the idle replicas and the serving
+        #: counters below.  Leaders take only this condition while
+        #: holding a replica — never ``self.lock``, which a retune holds
+        #: while draining the pool (lock-order discipline that keeps
+        #: retune/serve deadlock-free).
         self._pending_cond = threading.Condition()
-        #: Guards the plain counters below.  Leaders take only this lock
-        #: while holding a replica — never ``self.lock``, which a retune
-        #: holds while draining the pool (lock-order discipline that
-        #: keeps retune/serve deadlock-free).
-        self._counters_lock = threading.Lock()
+        self._pending: List[_InferJob] = []  # guarded-by: _pending_cond
+        self._idle: List[Replica] = list(self._replicas)  # guarded-by: _pending_cond
         #: One registry + event log per served process.  The HTTP shell
         #: is handed both, so engine metrics, request counters and
         #: events share one ``/metrics.prom`` / ``/api/v1/events``.
@@ -303,13 +307,13 @@ class ServeState:
             label_names=("stage",),
         )
         self.started_at = time.monotonic()  # feeds uptime_s spans
-        self.infer_requests = 0  # guarded-by: _counters_lock
-        self.rows_served = 0  # guarded-by: _counters_lock
-        self.batches = 0  # guarded-by: _counters_lock
-        self.coalesced_batches = 0  # guarded-by: _counters_lock
-        self.max_batch_jobs = 0  # guarded-by: _counters_lock
-        self.max_batch_rows = 0  # guarded-by: _counters_lock
-        self.batch_jobs_hist: Dict[int, int] = {}  # guarded-by: _counters_lock
+        self.infer_requests = 0  # guarded-by: _pending_cond
+        self.rows_served = 0  # guarded-by: _pending_cond
+        self.batches = 0  # guarded-by: _pending_cond
+        self.coalesced_batches = 0  # guarded-by: _pending_cond
+        self.max_batch_jobs = 0  # guarded-by: _pending_cond
+        self.max_batch_rows = 0  # guarded-by: _pending_cond
+        self.batch_jobs_hist: Dict[int, int] = {}  # guarded-by: _pending_cond
         self.max_sessions = max_sessions
         self.session_ttl = float(session_ttl)
         self.sessions: Dict[str, StreamSession] = {}  # guarded-by: lock
@@ -349,25 +353,21 @@ class ServeState:
         with self._pending_cond:
             self._pending.append(job)
             self._pending_cond.notify_all()  # wake gather-window leaders
-        while not job.done.is_set():
-            replica = None
+        while True:
             with self._pending_cond:
+                # Sleep until our job is done, or a replica is idle with
+                # work pending.  A new job, a leader returning its replica
+                # and a retune returning the pool all notify.
+                while not job.done.is_set() and not (self._idle and self._pending):
+                    self._pending_cond.wait()
                 if job.done.is_set():
                     break
-                try:
-                    replica = self._pool.get_nowait()
-                except queue.Empty:
-                    # No free replica: sleep until a leader returns one
-                    # (it notifies this condition) or finishes our job.
-                    # The timeout is a safety net, not the wake path.
-                    self._pending_cond.wait(_POOL_WAIT_S)
-            if replica is None:
-                continue
+                replica = self._idle.pop()
             try:
                 self._run_one_batch(replica)
             finally:
                 with self._pending_cond:
-                    self._pool.put(replica)
+                    self._idle.append(replica)
                     self._pending_cond.notify_all()
         if job.error is not None:
             raise job.error
@@ -476,7 +476,7 @@ class ServeState:
                 if (
                     len(batch) < 2
                     or total_rows >= MAX_INFER_ROWS
-                    or self._pool.qsize() > 0
+                    or self._idle
                 ):
                     return batch
                 if deadline is None:
@@ -531,7 +531,7 @@ class ServeState:
         version = replica.scheme_version
         theta = replica.scheme.theta
         total_rows = len(all_rows)
-        with self._counters_lock:
+        with self._pending_cond:
             self.infer_requests += len(batch)
             self.rows_served += total_rows
             self.batches += 1
@@ -571,16 +571,17 @@ class ServeState:
             }
 
     def retune(self, updates: Mapping[str, object]) -> Dict[str, object]:
-        """Atomically re-wrap every replica under an updated scheme.
+        """Move every replica to an updated scheme, all at once.
 
         ``updates`` may set ``theta``, ``layer_thetas`` (a mapping, or
         ``None`` to clear the overrides), ``predictor`` and ``throttle``.
-        The retune checks out the whole pool — in-flight requests finish
-        under their checkout's scheme first — swaps each replica via
-        :func:`swap_scheme`, bumps ``scheme_version`` exactly once, and
-        returns the replicas.  A failed swap restores every
-        already-swapped replica to the old scheme before the exception
-        propagates, so the pool is never mixed-scheme.
+        The retune builds one :func:`memoized_clone` per replica under
+        the new scheme while the pool keeps serving, so a failed build
+        raises with every replica, ``scheme`` and ``scheme_version``
+        unchanged.  It then drains the pool — in-flight forwards finish
+        under the scheme they started with — points each replica at its
+        clone, bumps ``scheme_version`` exactly once, and returns the
+        pool, which is therefore never mixed-scheme.
         """
         allowed = {"theta", "layer_thetas", "predictor", "throttle"}
         unknown = set(updates) - allowed
@@ -618,39 +619,25 @@ class ServeState:
             raise ValueError("throttle must be a boolean")
         with self.lock:
             new_scheme = replace(self.scheme, **changes)  # may raise ValueError
-            checked_out = [self._pool.get() for _ in self._replicas]
-            try:
-                swapped: List[Replica] = []
-                try:
-                    for replica in checked_out:
-                        swap_scheme(
-                            replica.model,
-                            replica.replacements,
-                            replica.scheme,
-                            new_scheme,
-                            replica.stats,
-                        )
-                        swapped.append(replica)
-                except Exception:
-                    # Pool-wide atomicity: un-swap the ones that made it.
-                    for replica in swapped:
-                        swap_scheme(
-                            replica.model,
-                            replica.replacements,
-                            new_scheme,
-                            replica.scheme,
-                            replica.stats,
-                        )
-                    raise
-                version = self.scheme_version + 1
-                for replica in checked_out:
+            clones = [
+                memoized_clone(self.benchmark.model, new_scheme, replica.stats)
+                for replica in self._replicas
+            ]
+            version = self.scheme_version + 1
+            with self._pending_cond:
+                # Drain: hold each replica as it comes back idle.
+                drained: List[Replica] = []
+                while len(drained) < len(self._replicas):
+                    if not self._idle:
+                        self._pending_cond.wait()
+                    drained += self._idle
+                    self._idle.clear()
+                for replica, clone in zip(self._replicas, clones):
+                    replica.model = clone
                     replica.scheme = new_scheme
                     replica.scheme_version = version
-            finally:
-                with self._pending_cond:
-                    for replica in checked_out:
-                        self._pool.put(replica)
-                    self._pending_cond.notify_all()
+                self._idle.extend(drained)
+                self._pending_cond.notify_all()
             self.scheme = new_scheme
             self.scheme_version = version
             self.events.emit(
@@ -760,7 +747,7 @@ class ServeState:
             session.frames_fed += len(predictions)
             session.last_used = time.monotonic()
         forward_end = time.perf_counter()
-        with self._counters_lock:
+        with self._pending_cond:
             self.infer_requests += 1
             self.rows_served += 1
         end = time.perf_counter()
@@ -852,8 +839,8 @@ class ServeState:
                 "evicted": self.sessions_evicted,
                 "ttl_s": self.session_ttl,
             }
-            available = self._pool.qsize()
-            with self._counters_lock:
+            with self._pending_cond:
+                available = len(self._idle)
                 inference = {
                     "requests": self.infer_requests,
                     "rows": self.rows_served,
@@ -912,7 +899,7 @@ class ServeState:
     def sync_registry(self) -> Dict[str, object]:
         """Mirror the engine counters into the registry for a scrape.
 
-        The serving counters live under ``_counters_lock`` (the hot
+        The serving counters live under ``_pending_cond`` (the hot
         path), not in the registry; a ``/metrics.prom`` scrape copies
         one consistent :meth:`metrics` snapshot into registry counters
         (``set_total`` — monotonic) and gauges.  Returns the snapshot so
@@ -972,25 +959,6 @@ class ServeState:
         ):
             registry.gauge(name, help_text).set(value)
         return snapshot
-
-    # -- shutdown helper ----------------------------------------------------
-
-    def unwrap(self) -> None:
-        """Dispose the replica pool (waits for in-flight forwards).
-
-        The shared benchmark model is never wrapped, so there is nothing
-        to restore on it — each checked-back-in clone is unwrapped and
-        the pool refilled so a late caller cannot block forever.
-        """
-        with self.lock:
-            drained = [self._pool.get() for _ in self._replicas]
-            for replica in drained:
-                restore(replica.replacements)
-                replica.replacements = []
-            with self._pending_cond:
-                for replica in drained:
-                    self._pool.put(replica)
-                self._pending_cond.notify_all()
 
 
 def parse_layer_thetas(pairs: Sequence[str]) -> Dict[str, float]:

@@ -10,7 +10,6 @@ from repro.core.engine import (
     apply_memoization,
     memoized,
     restore,
-    swap_scheme,
 )
 from repro.core.layers import MemoizedRecurrentLayer
 from repro.core.stats import ReuseStats
@@ -243,7 +242,8 @@ class _SecondLayerNegative(dict):
     """A mapping that smuggles a negative per-layer theta past scheme
     construction: ``values()`` shows nothing invalid, but ``get`` hands
     the walk a negative threshold for one specific layer — so the
-    failure only surfaces mid-walk, after earlier layers are wrapped."""
+    failure only surfaces mid-walk, after earlier layers' wrappers are
+    built."""
 
     def __init__(self, bad_layer):
         super().__init__()
@@ -302,57 +302,3 @@ class TestAtomicApply:
             assert isinstance(stack.layer1, MemoizedRecurrentLayer)
         finally:
             restore(replacements)
-
-
-class TestSwapScheme:
-    """swap_scheme: the live-retuning primitive behind `repro serve`."""
-
-    def test_swap_rewraps_under_new_scheme(self, rng):
-        stack = RNNStack([LSTMLayer(5, 6, rng=rng)])
-        x = smooth_inputs(rng)
-        stats = ReuseStats()
-        old = MemoizationScheme(theta=0.05)
-        new = MemoizationScheme(theta=0.5)
-        replacements = apply_memoization(stack, old, stats)
-        try:
-            swap_scheme(stack, replacements, old, new, stats)
-            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
-            # The wrapper now carries the new threshold.
-            assert stack.layer0._phase_predictors[0].theta == 0.5
-            stack(x)  # still serves
-        finally:
-            restore(replacements)
-        assert isinstance(stack.layer0, LSTMLayer)
-
-    def test_failed_swap_rolls_back_to_old_scheme(self, rng):
-        stack = RNNStack([LSTMLayer(5, 6, rng=rng), GRULayer(6, 4, rng=rng)])
-        x = smooth_inputs(rng)
-        stats = ReuseStats()
-        old = MemoizationScheme(theta=0.05)
-        bad = MemoizationScheme(
-            layer_thetas=_SecondLayerNegative("layer1")
-        )
-        replacements = apply_memoization(stack, old, stats)
-        try:
-            with pytest.raises(ValueError, match="non-negative"):
-                swap_scheme(stack, replacements, old, bad, stats)
-            # Still wrapped, still under the old threshold, still serving.
-            assert isinstance(stack.layer0, MemoizedRecurrentLayer)
-            assert isinstance(stack.layer1, MemoizedRecurrentLayer)
-            assert stack.layer0._phase_predictors[0].theta == 0.05
-            stack(x)
-        finally:
-            restore(replacements)
-        assert isinstance(stack.layer0, LSTMLayer)
-        assert isinstance(stack.layer1, GRULayer)
-
-    def test_swap_updates_caller_list_in_place(self, rng):
-        stack = RNNStack([LSTMLayer(5, 6, rng=rng)])
-        stats = ReuseStats()
-        old = MemoizationScheme(theta=0.05)
-        replacements = apply_memoization(stack, old, stats)
-        handle = replacements
-        swap_scheme(stack, replacements, old, old.with_theta(0.2), stats)
-        assert handle is replacements
-        restore(handle)
-        assert isinstance(stack.layer0, LSTMLayer)

@@ -15,7 +15,7 @@ from repro.analysis.sweep import end_to_end
 from helpers import ReferenceHook
 from repro.core import engine as engine_module
 from repro.core.engine import MemoizationScheme, memoized
-from repro.core.stats import DetailedReuseStats, ReuseStats
+from repro.core.stats import DetailedReuseStats
 from repro.models.zoo import load_benchmark
 from repro.nn.serialization import load_state, save_state
 

@@ -47,12 +47,7 @@ def serve(benchmark, scheme=None, **server_kwargs):
     )
     server = InferenceServer(state, quiet=True, **server_kwargs)
     server.serve_in_thread()
-
-    def shutdown():
-        server.stop()
-        state.unwrap()
-
-    return server, state, shutdown
+    return server, state, server.stop
 
 
 def assert_rejected(client, body, message):
@@ -68,6 +63,7 @@ def speech_row_rejections(width):
     with the message its validator answers."""
     frame = [0.0] * width
     not_a_matrix = "each speech row must be a non-empty (frames x features) array"
+    not_numbers = "each speech row must be a (frames x features) array of numbers"
     return (
         ([frame + [0.0]],
          f"speech rows must have {width} features per frame, got {width + 1}"),
@@ -75,10 +71,13 @@ def speech_row_rejections(width):
         ([frame, [float("inf")] * width], "speech rows must be finite numbers"),
         (frame, not_a_matrix),
         ([], not_a_matrix),
-        ([["a"] * width],
-         "each speech row must be a (frames x features) array of numbers"),
-        ([frame, frame[1:]],
-         "each speech row must be a (frames x features) array of numbers"),
+        ([["a"] * width], not_numbers),
+        ([frame, frame[1:]], not_numbers),
+        # numpy reads booleans and numeric strings as numbers; JSON
+        # frames must hold numbers.
+        ([[True] * width], not_numbers),
+        ([["1.5"] * width], not_numbers),
+        ([frame, [1] * (width - 1) + [True]], not_numbers),
     )
 
 
@@ -99,28 +98,22 @@ class TestLatencyHistogram:
 
     def test_counts_and_summary(self, imdb):
         state = ServeState(imdb, MemoizationScheme(theta=THETA))
-        try:
-            assert state.registry.get("repro_request_latency_ms") is state.latency
-            for value in (0.5, 5.0, 50.0, 5000.0, 1e6):
-                state.latency.observe(value)
-            snap = state.metrics()["inference"]["latency_ms"]
-            assert snap["count"] == 5
-            assert snap["overflow"] == 1
-            assert snap["max_ms"] == 1e6
-            cumulative = {bucket["le_ms"]: bucket["count"]
-                          for bucket in snap["buckets"]}
-            assert [cumulative[le] for le in (1.0, 8.0, 64.0, 8192.0)] == [1, 2, 3, 4]
-        finally:
-            state.unwrap()
+        assert state.registry.get("repro_request_latency_ms") is state.latency
+        for value in (0.5, 5.0, 50.0, 5000.0, 1e6):
+            state.latency.observe(value)
+        snap = state.metrics()["inference"]["latency_ms"]
+        assert snap["count"] == 5
+        assert snap["overflow"] == 1
+        assert snap["max_ms"] == 1e6
+        cumulative = {bucket["le_ms"]: bucket["count"]
+                      for bucket in snap["buckets"]}
+        assert [cumulative[le] for le in (1.0, 8.0, 64.0, 8192.0)] == [1, 2, 3, 4]
 
     def test_empty(self, imdb):
         state = ServeState(imdb, MemoizationScheme(theta=THETA))
-        try:
-            snap = state.metrics()["inference"]["latency_ms"]
-            assert snap["count"] == 0
-            assert snap["mean_ms"] == 0.0
-        finally:
-            state.unwrap()
+        snap = state.metrics()["inference"]["latency_ms"]
+        assert snap["count"] == 0
+        assert snap["mean_ms"] == 0.0
 
 
 class TestEndpoints:
@@ -583,20 +576,17 @@ class TestStreamingSessions:
         bench = load_benchmark("deepspeech2", scale="tiny")
         scheme = MemoizationScheme(theta=theta)
         state = ServeState(bench, scheme)
-        try:
-            for index in bench.test_idx:
-                frames = bench.dataset.features[index]
-                with memoized(bench.model, scheme, ReuseStats()):
-                    expected = bench.model.forward(frames[None]).argmax(-1)[0]
-                sid = state.open_session()["session"]
-                split = frames.shape[0] // 3
-                labels = []
-                for chunk in (frames[:split], frames[split:]):
-                    labels.extend(state.session_feed(sid, chunk.tolist())["outputs"][0])
-                state.close_session(sid)
-                assert labels == expected.tolist(), f"utterance {index}"
-        finally:
-            state.unwrap()
+        for index in bench.test_idx:
+            frames = bench.dataset.features[index]
+            with memoized(bench.model, scheme, ReuseStats()):
+                expected = bench.model.forward(frames[None]).argmax(-1)[0]
+            sid = state.open_session()["session"]
+            split = frames.shape[0] // 3
+            labels = []
+            for chunk in (frames[:split], frames[split:]):
+                labels.extend(state.session_feed(sid, chunk.tolist())["outputs"][0])
+            state.close_session(sid)
+            assert labels == expected.tolist(), f"utterance {index}"
 
     def test_unknown_session_is_404(self):
         bench = load_benchmark("deepspeech2", scale="tiny")
@@ -738,8 +728,9 @@ class TestCLIWiring:
 
 class TestModelHygiene:
     def test_unwrap_restores_cached_model(self, imdb):
-        """ServeState wraps the (shared, cached) zoo model; unwrap must
-        hand it back exactly as it was for the rest of the suite."""
+        """Serving never wraps the (shared, cached) zoo model — its
+        replicas are memoized clones — so after a server stops, the
+        model is exactly as it was for the rest of the suite."""
         from repro.nn.lstm import LSTMLayer
 
         imdb.ensure_trained()

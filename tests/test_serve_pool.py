@@ -10,7 +10,9 @@ The load-bearing properties:
   and whether or not the coalescer stacked them into shared forwards.
 - `PUT /theta` retunes the *whole pool* atomically: one version bump,
   every replica on the new scheme, and a failed retune leaves every
-  replica on the old one.
+  replica on the old one.  The new clones are built before the pool is
+  drained, so requests are served while a retune builds, and a failed
+  build has nothing to undo.
 - The serve-tier bugfix sweep: boolean/non-finite thresholds are
   rejected at the door, idle sessions are evicted instead of leaking,
   and `/metrics` reports reuse counters consistent with the
@@ -26,6 +28,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.engine import (
     MemoizationScheme,
     apply_memoization,
@@ -44,6 +47,7 @@ from repro.serve import (
     parse_layer_thetas,
     run_loadgen,
 )
+from repro.serve import state as serve_state
 from repro.serve.loadgen import expected_outputs
 from repro.serve.state import SessionError, _InferJob
 
@@ -153,95 +157,89 @@ class TestReplicaPool:
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, indices)
         state = pooled_state(imdb, scheme, replicas=3, coalesce_ms=0.0)
-        try:
-            outputs = []
-            errors = []
+        outputs = []
+        errors = []
 
-            def one(index, position):
-                try:
-                    reply = state.infer([imdb.dataset.tokens[index].tolist()])
-                    outputs[position] = reply["outputs"][0]
-                # checks: allow-broad-except hammer thread collects errors for the main-thread assert
-                except Exception as exc:  # pragma: no cover - test plumbing
-                    errors.append(exc)
+        def one(index, position):
+            try:
+                reply = state.infer([imdb.dataset.tokens[index].tolist()])
+                outputs[position] = reply["outputs"][0]
+            # checks: allow-broad-except hammer thread collects errors for the main-thread assert
+            except Exception as exc:  # pragma: no cover - test plumbing
+                errors.append(exc)
 
-            outputs = [None] * len(indices)
-            threads = [
-                threading.Thread(target=one, args=(index, position))
-                for position, index in enumerate(indices)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert not errors
-            assert outputs == expected
-            metrics = state.metrics()
-            assert metrics["pool"]["replicas"] == 3
-            assert metrics["pool"]["available"] == 3
-            assert metrics["inference"]["requests"] == len(indices)
-            # coalesce_ms=0 means one request per forward, always.
-            assert metrics["coalesce"]["batches"] == len(indices)
-            assert metrics["coalesce"]["coalesced_batches"] == 0
-        finally:
-            state.unwrap()
+        outputs = [None] * len(indices)
+        threads = [
+            threading.Thread(target=one, args=(index, position))
+            for position, index in enumerate(indices)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert outputs == expected
+        metrics = state.metrics()
+        assert metrics["pool"]["replicas"] == 3
+        assert metrics["pool"]["available"] == 3
+        assert metrics["inference"]["requests"] == len(indices)
+        # coalesce_ms=0 means one request per forward, always.
+        assert metrics["coalesce"]["batches"] == len(indices)
+        assert metrics["coalesce"]["coalesced_batches"] == 0
 
     def test_coalescer_stacks_waiting_jobs_into_one_forward(self, imdb):
         indices = [int(i) for i in imdb.test_idx[:4]]
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, indices)
         state = pooled_state(imdb, scheme, replicas=1, coalesce_ms=1.0)
-        try:
-            # Hold the only replica hostage: every request must park its
-            # job on the pending queue and spin on the empty pool.
-            replica = state._pool.get()
-            outputs = [None] * len(indices)
+        # Hold the only replica hostage: every request must park its
+        # job on the pending queue and wait on the empty pool.
+        with state._pending_cond:
+            replica = state._idle.pop()
+        outputs = [None] * len(indices)
 
-            def one(index, position):
-                reply = state.infer([imdb.dataset.tokens[index].tolist()])
-                outputs[position] = reply["outputs"][0]
+        def one(index, position):
+            reply = state.infer([imdb.dataset.tokens[index].tolist()])
+            outputs[position] = reply["outputs"][0]
 
-            threads = [
-                threading.Thread(target=one, args=(index, position))
-                for position, index in enumerate(indices)
-            ]
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                with state._pending_cond:
-                    if len(state._pending) == len(indices):
-                        break
-                time.sleep(0.005)
+        threads = [
+            threading.Thread(target=one, args=(index, position))
+            for position, index in enumerate(indices)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
             with state._pending_cond:
-                assert len(state._pending) == len(indices)
-            # Releasing the replica lets exactly one leader claim it and
-            # serve the whole backlog as one stacked forward.
-            state._pool.put(replica)
-            for thread in threads:
-                thread.join()
-            assert outputs == expected
-            metrics = state.metrics()
-            assert metrics["coalesce"]["batches"] == 1
-            assert metrics["coalesce"]["coalesced_batches"] == 1
-            assert metrics["coalesce"]["max_batch_jobs"] == len(indices)
-            assert metrics["coalesce"]["batch_jobs_hist"] == {
-                str(len(indices)): 1
-            }
-        finally:
-            state.unwrap()
+                if len(state._pending) == len(indices):
+                    break
+            time.sleep(0.005)
+        with state._pending_cond:
+            assert len(state._pending) == len(indices)
+        # Releasing the replica lets exactly one leader claim it and
+        # serve the whole backlog as one stacked forward.
+        with state._pending_cond:
+            state._idle.append(replica)
+            state._pending_cond.notify_all()
+        for thread in threads:
+            thread.join()
+        assert outputs == expected
+        metrics = state.metrics()
+        assert metrics["coalesce"]["batches"] == 1
+        assert metrics["coalesce"]["coalesced_batches"] == 1
+        assert metrics["coalesce"]["max_batch_jobs"] == len(indices)
+        assert metrics["coalesce"]["batch_jobs_hist"] == {
+            str(len(indices)): 1
+        }
 
     def test_ragged_rows_still_serve(self, speech):
         indices = [int(i) for i in speech.test_idx[:2]]
         scheme = MemoizationScheme(theta=THETA)
         state = pooled_state(speech, scheme, replicas=2)
-        try:
-            short = speech.dataset.features[indices[0]][:3].tolist()
-            full = speech.dataset.features[indices[1]].tolist()
-            reply = state.infer([short, full])
-            assert len(reply["outputs"]) == 2
-        finally:
-            state.unwrap()
+        short = speech.dataset.features[indices[0]][:3].tolist()
+        full = speech.dataset.features[indices[1]].tolist()
+        reply = state.infer([short, full])
+        assert len(reply["outputs"]) == 2
 
 
 class TestLeaderErrors:
@@ -253,84 +251,153 @@ class TestLeaderErrors:
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, [index])
         state = pooled_state(imdb, scheme, replicas=1, coalesce_ms=0.0)
-        try:
-            # Hold the only replica while A (an out-of-vocabulary token:
-            # its forward raises) is queued ahead of B.
-            replica = state._pool.get()
-            poisoned = _InferJob([np.array([10**6])], request_id="poisoned-a")
-            with state._pending_cond:
-                state._pending.append(poisoned)
-            reply = {}
-            errors = []
+        # Hold the only replica while A (an out-of-vocabulary token:
+        # its forward raises) is queued ahead of B.
+        with state._pending_cond:
+            replica = state._idle.pop()
+        poisoned = _InferJob([np.array([10**6])], request_id="poisoned-a")
+        with state._pending_cond:
+            state._pending.append(poisoned)
+        reply = {}
+        errors = []
 
-            def request_b():
-                try:
-                    reply.update(state.infer(
-                        [imdb.dataset.tokens[index].tolist()],
-                        request_id="healthy-b",
-                    ))
-                # checks: allow-broad-except request thread collects errors for the main-thread assert
-                except Exception as exc:
-                    errors.append(exc)
+        def request_b():
+            try:
+                reply.update(state.infer(
+                    [imdb.dataset.tokens[index].tolist()],
+                    request_id="healthy-b",
+                ))
+            # checks: allow-broad-except request thread collects errors for the main-thread assert
+            except Exception as exc:
+                errors.append(exc)
 
-            thread = threading.Thread(target=request_b, daemon=True)
-            thread.start()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                with state._pending_cond:
-                    if len(state._pending) == 2:
-                        break
-                time.sleep(0.005)
-            # B's thread takes the replica back and leads A's forward.
+        thread = threading.Thread(target=request_b, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
             with state._pending_cond:
-                assert state._pending[0] is poisoned
-                assert len(state._pending) == 2
-                state._pool.put(replica)
-                state._pending_cond.notify_all()
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-            assert not errors
-            assert reply["outputs"] == expected
-            assert isinstance(poisoned.error, IndexError)
-            with state._pending_cond:
-                assert state._pending == []
-            failures = state.events.snapshot(kind="infer_error")["events"]
-            assert [event["request_id"] for event in failures] == ["poisoned-a"]
-        finally:
-            state.unwrap()
+                if len(state._pending) == 2:
+                    break
+            time.sleep(0.005)
+        # B's thread takes the replica back and leads A's forward.
+        with state._pending_cond:
+            assert state._pending[0] is poisoned
+            assert len(state._pending) == 2
+            state._idle.append(replica)
+            state._pending_cond.notify_all()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not errors
+        assert reply["outputs"] == expected
+        assert isinstance(poisoned.error, IndexError)
+        with state._pending_cond:
+            assert state._pending == []
+        failures = state.events.snapshot(kind="infer_error")["events"]
+        assert [event["request_id"] for event in failures] == ["poisoned-a"]
 
 
 class TestPoolRetune:
     def test_retune_swaps_every_replica_and_bumps_version_once(self, imdb):
         state = pooled_state(imdb, replicas=3)
-        try:
-            before = state.scheme_version
-            info = state.retune({"theta": 0.4})
-            assert info["scheme_version"] == before + 1
-            for replica in state._replicas:
-                assert replica.scheme_version == before + 1
-                assert replica.scheme.theta == 0.4
-            assert state._pool.qsize() == 3
-        finally:
-            state.unwrap()
+        before = state.scheme_version
+        info = state.retune({"theta": 0.4})
+        assert info["scheme_version"] == before + 1
+        for replica in state._replicas:
+            assert replica.scheme_version == before + 1
+            assert replica.scheme.theta == 0.4
+        with state._pending_cond:
+            assert len(state._idle) == 3
 
     def test_failed_retune_leaves_every_replica_on_old_scheme(self, imdb):
         state = pooled_state(imdb, replicas=3)
+        before_version = state.scheme_version
+        before_scheme = state.scheme
+        with pytest.raises(ValueError):
+            state.retune({"predictor": "nonsense"})
+        assert state.scheme_version == before_version
+        for replica in state._replicas:
+            assert replica.scheme is before_scheme
+            assert replica.scheme_version == before_version
+        with state._pending_cond:
+            assert len(state._idle) == 3
+        # And the pool still serves.
+        row = imdb.dataset.tokens[int(imdb.test_idx[0])].tolist()
+        assert state.infer([row])["scheme_version"] == before_version
+
+    @staticmethod
+    def patch_clone_builds(monkeypatch, build):
+        """Route every memoized clone build through ``build``, which is
+        handed the real ``apply_memoization`` and its arguments."""
+        real = engine_module.apply_memoization
+
+        def patched(model, scheme, stats, rows=None):
+            return build(real, model, scheme, stats, rows)
+
+        monkeypatch.setattr(engine_module, "apply_memoization", patched)
+        monkeypatch.setattr(serve_state, "apply_memoization", patched)
+
+    def test_requests_are_served_while_a_retune_builds(self, imdb, monkeypatch):
+        """The retune builds its clones before it drains the pool, so a
+        request that arrives mid-build is served under the old scheme."""
+        state = pooled_state(imdb, replicas=2)
+        building = threading.Event()
+        release = threading.Event()
+
+        def build(real, model, scheme, stats, rows):
+            if scheme.theta == 0.5:
+                building.set()
+                release.wait(timeout=60)
+            return real(model, scheme, stats, rows)
+
+        self.patch_clone_builds(monkeypatch, build)
+        retune = threading.Thread(target=state.retune, args=({"theta": 0.5},))
+        retune.start()
+        reply = {}
+        row = imdb.dataset.tokens[int(imdb.test_idx[0])].tolist()
+        request = threading.Thread(
+            target=lambda: reply.update(state.infer([row])), daemon=True
+        )
         try:
-            before_version = state.scheme_version
-            before_scheme = state.scheme
-            with pytest.raises(ValueError):
-                state.retune({"predictor": "nonsense"})
-            assert state.scheme_version == before_version
-            for replica in state._replicas:
-                assert replica.scheme is before_scheme
-                assert replica.scheme_version == before_version
-            assert state._pool.qsize() == 3
-            # And the pool still serves.
-            row = imdb.dataset.tokens[int(imdb.test_idx[0])].tolist()
-            assert state.infer([row])["scheme_version"] == before_version
+            assert building.wait(timeout=5)
+            request.start()
+            request.join(timeout=5)
+            assert not request.is_alive()
+            assert reply["scheme_version"] == 1
         finally:
-            state.unwrap()
+            release.set()
+            retune.join(timeout=60)
+        assert not retune.is_alive()
+        assert state.scheme_version == 2
+
+    def test_a_failed_clone_build_leaves_every_replica_untouched(
+        self, imdb, monkeypatch
+    ):
+        state = pooled_state(imdb, replicas=3)
+        before = [
+            (replica.model, replica.scheme, replica.scheme_version)
+            for replica in state._replicas
+        ]
+        builds = []
+
+        def build(real, model, scheme, stats, rows):
+            builds.append(scheme)
+            if len(builds) == 2:
+                raise RuntimeError("second clone build fails")
+            return real(model, scheme, stats, rows)
+
+        self.patch_clone_builds(monkeypatch, build)
+        with pytest.raises(RuntimeError, match="second clone build fails"):
+            state.retune({"theta": 0.5})
+        assert len(builds) == 2
+        assert state.scheme_version == 1
+        for replica, (model, scheme, version) in zip(state._replicas, before):
+            assert replica.model is model
+            assert replica.scheme is scheme
+            assert replica.scheme_version == version
+        with state._pending_cond:
+            assert len(state._idle) == 3
+        row = imdb.dataset.tokens[int(imdb.test_idx[0])].tolist()
+        assert state.infer([row])["scheme_version"] == 1
 
     def test_responses_attribute_to_a_served_version(self, imdb):
         """Under a retune racing live traffic, every reply's outputs
@@ -345,41 +412,101 @@ class TestPoolRetune:
             for version, scheme in schemes.items()
         }
         state = pooled_state(imdb, schemes[1], replicas=2, coalesce_ms=0.0)
-        try:
-            results = []
-            errors = []
-            lock = threading.Lock()
+        results = []
+        errors = []
+        lock = threading.Lock()
 
-            def traffic():
-                for index in indices:
-                    try:
-                        reply = state.infer(
-                            [imdb.dataset.tokens[index].tolist()]
-                        )
-                    # checks: allow-broad-except hammer thread collects errors for the main-thread assert
-                    except Exception as exc:  # pragma: no cover
-                        with lock:
-                            errors.append(exc)
-                        return
+        def traffic():
+            for index in indices:
+                try:
+                    reply = state.infer(
+                        [imdb.dataset.tokens[index].tolist()]
+                    )
+                # checks: allow-broad-except hammer thread collects errors for the main-thread assert
+                except Exception as exc:  # pragma: no cover
                     with lock:
-                        results.append(
-                            (index, reply["scheme_version"],
-                             reply["outputs"][0])
-                        )
+                        errors.append(exc)
+                    return
+                with lock:
+                    results.append(
+                        (index, reply["scheme_version"],
+                         reply["outputs"][0])
+                    )
 
-            threads = [threading.Thread(target=traffic) for _ in range(4)]
+        threads = [threading.Thread(target=traffic) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        state.retune({"theta": 0.5})
+        for thread in threads:
+            thread.join()
+        assert not errors
+        versions_seen = {version for _, version, _ in results}
+        assert versions_seen <= {1, 2}
+        for index, version, output in results:
+            assert output == expected[version][index]
+
+    def test_pool_and_counters_hold_under_contended_retunes(self, imdb):
+        """Six request threads on two replicas, a tiny switch interval,
+        and four retunes alternating the threshold: no request is lost
+        or counted twice, every reply matches the offline path at the
+        threshold it reports, and the whole pool ends idle."""
+        indices = [int(i) for i in imdb.test_idx[:4]]
+        thetas = (THETA, 0.5)
+        expected = {
+            theta: dict(zip(indices, expected_outputs(
+                imdb, MemoizationScheme(theta=theta), indices
+            )))
+            for theta in thetas
+        }
+        state = pooled_state(imdb, replicas=2, coalesce_ms=1.0)
+        rounds, workers = 8, 6
+        results = []
+        errors = []
+        lock = threading.Lock()
+
+        def traffic(offset):
+            for round_index in range(rounds):
+                index = indices[(offset + round_index) % len(indices)]
+                try:
+                    reply = state.infer([imdb.dataset.tokens[index].tolist()])
+                # checks: allow-broad-except hammer thread collects errors for the main-thread assert
+                except Exception as exc:  # pragma: no cover
+                    with lock:
+                        errors.append(exc)
+                    return
+                with lock:
+                    results.append((index, reply))
+
+        threads = [
+            threading.Thread(target=traffic, args=(offset,), daemon=True)
+            for offset in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
             for thread in threads:
                 thread.start()
-            state.retune({"theta": 0.5})
+            for retune in range(4):
+                state.retune({"theta": thetas[(retune + 1) % 2]})
             for thread in threads:
-                thread.join()
-            assert not errors
-            versions_seen = {version for _, version, _ in results}
-            assert versions_seen <= {1, 2}
-            for index, version, output in results:
-                assert output == expected[version][index]
+                thread.join(timeout=60)
         finally:
-            state.unwrap()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == rounds * workers
+        for index, reply in results:
+            # Odd versions run the first threshold, even ones the second.
+            assert reply["theta"] == thetas[(reply["scheme_version"] - 1) % 2]
+            assert reply["outputs"][0] == expected[reply["theta"]][index]
+        metrics = state.metrics()
+        assert metrics["inference"]["requests"] == rounds * workers
+        assert metrics["inference"]["rows"] == rounds * workers
+        assert sum(
+            replica["requests"] for replica in metrics["pool"]["per_replica"]
+        ) == rounds * workers
+        assert metrics["pool"]["available"] == 2
+        assert metrics["scheme"]["scheme_version"] == 5
 
 
 class TestHammer:
@@ -474,7 +601,6 @@ class TestHammer:
             assert metrics["pool"]["replicas"] == 2
         finally:
             server.stop()
-            state.unwrap()
 
 
 class TestRetuneValidation:
@@ -482,34 +608,25 @@ class TestRetuneValidation:
 
     def test_boolean_theta_is_rejected(self, imdb):
         state = pooled_state(imdb)
-        try:
-            with pytest.raises(ValueError, match="number"):
-                state.retune({"theta": True})
-            assert state.scheme.theta == THETA
-        finally:
-            state.unwrap()
+        with pytest.raises(ValueError, match="number"):
+            state.retune({"theta": True})
+        assert state.scheme.theta == THETA
 
     def test_non_finite_theta_is_rejected(self, imdb):
         state = pooled_state(imdb)
-        try:
-            for bad in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError, match="finite"):
-                    state.retune({"theta": bad})
-            assert state.scheme.theta == THETA
-        finally:
-            state.unwrap()
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                state.retune({"theta": bad})
+        assert state.scheme.theta == THETA
 
     def test_boolean_and_non_finite_layer_thetas_are_rejected(self, imdb):
         state = pooled_state(imdb)
         layer = state.layer_names[0]
-        try:
-            with pytest.raises(ValueError, match="number"):
-                state.retune({"layer_thetas": {layer: False}})
-            with pytest.raises(ValueError, match="finite"):
-                state.retune({"layer_thetas": {layer: float("nan")}})
-            assert state.scheme.layer_thetas is None
-        finally:
-            state.unwrap()
+        with pytest.raises(ValueError, match="number"):
+            state.retune({"layer_thetas": {layer: False}})
+        with pytest.raises(ValueError, match="finite"):
+            state.retune({"layer_thetas": {layer: float("nan")}})
+        assert state.scheme.layer_thetas is None
 
     def test_non_finite_values_rejected_over_http(self, imdb):
         """Python's json.loads accepts NaN/Infinity tokens, so the hole
@@ -526,7 +643,6 @@ class TestRetuneValidation:
             assert client.get("/api/v1/theta")["theta"] == THETA
         finally:
             server.stop()
-            state.unwrap()
 
     def test_parse_layer_thetas_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -550,61 +666,46 @@ class TestSessionTTL:
 
     def test_idle_sessions_are_evicted_on_open(self, speech):
         state = pooled_state(speech, session_ttl=0.05)
-        try:
-            opened = state.open_session()
-            state.sessions[opened["session"]].last_used -= 1.0
-            reopened = state.open_session()
-            assert opened["session"] not in state.sessions
-            assert reopened["session"] in state.sessions
-            assert state.sessions_evicted == 1
-        finally:
-            state.unwrap()
+        opened = state.open_session()
+        state.sessions[opened["session"]].last_used -= 1.0
+        reopened = state.open_session()
+        assert opened["session"] not in state.sessions
+        assert reopened["session"] in state.sessions
+        assert state.sessions_evicted == 1
 
     def test_eviction_unblocks_a_full_session_table(self, speech):
         state = pooled_state(speech, max_sessions=2, session_ttl=0.05)
-        try:
-            stale = [state.open_session()["session"] for _ in range(2)]
-            for sid in stale:
-                state.sessions[sid].last_used -= 1.0
-            # Before the fix this raised "too many open sessions" forever.
-            fresh = state.open_session()
-            assert fresh["session"] in state.sessions
-            assert state.sessions_evicted == 2
-        finally:
-            state.unwrap()
+        stale = [state.open_session()["session"] for _ in range(2)]
+        for sid in stale:
+            state.sessions[sid].last_used -= 1.0
+        # Before the fix this raised "too many open sessions" forever.
+        fresh = state.open_session()
+        assert fresh["session"] in state.sessions
+        assert state.sessions_evicted == 2
 
     def test_closing_an_evicted_session_is_404(self, speech):
         state = pooled_state(speech, session_ttl=0.05)
-        try:
-            opened = state.open_session()
-            state.sessions[opened["session"]].last_used -= 1.0
-            with pytest.raises(SessionError):
-                state.close_session(opened["session"])
-        finally:
-            state.unwrap()
+        opened = state.open_session()
+        state.sessions[opened["session"]].last_used -= 1.0
+        with pytest.raises(SessionError):
+            state.close_session(opened["session"])
 
     def test_feed_refreshes_the_stamp(self, speech):
         state = pooled_state(speech, session_ttl=60.0)
-        try:
-            opened = state.open_session()
-            sid = opened["session"]
-            state.sessions[sid].last_used -= 30.0
-            chunk = speech.dataset.features[int(speech.test_idx[0])][:2]
-            state.session_feed(sid, chunk.tolist())
-            assert time.monotonic() - state.sessions[sid].last_used < 5.0
-        finally:
-            state.unwrap()
+        opened = state.open_session()
+        sid = opened["session"]
+        state.sessions[sid].last_used -= 30.0
+        chunk = speech.dataset.features[int(speech.test_idx[0])][:2]
+        state.session_feed(sid, chunk.tolist())
+        assert time.monotonic() - state.sessions[sid].last_used < 5.0
 
     def test_non_positive_ttl_disables_eviction(self, speech):
         state = pooled_state(speech, session_ttl=0.0)
-        try:
-            opened = state.open_session()
-            state.sessions[opened["session"]].last_used -= 10_000.0
-            state.open_session()
-            assert opened["session"] in state.sessions
-            assert state.sessions_evicted == 0
-        finally:
-            state.unwrap()
+        opened = state.open_session()
+        state.sessions[opened["session"]].last_used -= 10_000.0
+        state.open_session()
+        assert opened["session"] in state.sessions
+        assert state.sessions_evicted == 0
 
 
 class TestConcurrentSessions:
@@ -643,7 +744,6 @@ class TestConcurrentSessions:
                 assert transcripts == solo
         finally:
             sys.setswitchinterval(interval)
-            state.unwrap()
 
 
 class TestMetricsConsistency:
@@ -663,29 +763,23 @@ class TestMetricsConsistency:
         state.stats = probe
         for replica in state._replicas:
             replica.stats = probe
-        try:
-            state.metrics()
-            assert held_during_snapshot
-            assert all(held_during_snapshot)
-        finally:
-            state.unwrap()
+        state.metrics()
+        assert held_during_snapshot
+        assert all(held_during_snapshot)
 
     def test_metrics_aggregate_reuse_across_replicas(self, imdb):
         indices = [int(i) for i in imdb.test_idx[:4]]
         state = pooled_state(imdb, replicas=2, coalesce_ms=0.0)
-        try:
-            for index in indices:
-                state.infer([imdb.dataset.tokens[index].tolist()])
-            metrics = state.metrics()
-            per_replica = metrics["pool"]["per_replica"]
-            assert len(per_replica) == 2
-            total_evals = metrics["reuse"]["total_evaluations"]
-            assert total_evals > 0
-            assert total_evals == sum(
-                replica.stats.total_evaluations for replica in state._replicas
-            ) + state.stats.total_evaluations
-        finally:
-            state.unwrap()
+        for index in indices:
+            state.infer([imdb.dataset.tokens[index].tolist()])
+        metrics = state.metrics()
+        per_replica = metrics["pool"]["per_replica"]
+        assert len(per_replica) == 2
+        total_evals = metrics["reuse"]["total_evaluations"]
+        assert total_evals > 0
+        assert total_evals == sum(
+            replica.stats.total_evaluations for replica in state._replicas
+        ) + state.stats.total_evaluations
 
 
 class TestLoadgenRetune:
@@ -713,7 +807,6 @@ class TestLoadgenRetune:
             assert summary["pool"]["replicas"] == 2
         finally:
             server.stop()
-            state.unwrap()
 
 
 class TestStateValidation:
