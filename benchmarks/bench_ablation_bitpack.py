@@ -8,9 +8,9 @@ operands.  Two paths are compared:
 
 - a ±1 int32 matmul of the binarized weights and operands, built
   inline here,
-- the engine's hot path: the operand packed once via ``pack_signs`` and
-  fed to ``BinaryGate.evaluate_packed`` — exactly what
-  ``MemoizedRecurrentLayer`` does per phase timestep.
+- the engine's hot path: the operand's ``(x, h)`` blocks packed once via
+  ``pack_signs(x, h)`` and fed to ``BinaryGate.evaluate_packed`` —
+  exactly what ``MemoizedRecurrentLayer`` does per phase timestep.
 """
 
 import numpy as np
@@ -54,10 +54,9 @@ def test_bnn_prepacked_engine_path(benchmark, phase_operands):
     """The engine's kernel: pack once, popcount the phase."""
     w_x, w_h, x, h = phase_operands
     gate = BinaryGate(w_x, w_h)
-    operand = np.concatenate([x, h], axis=-1)
 
     def engine_step():
-        return gate.evaluate_packed(pack_signs(operand))
+        return gate.evaluate_packed(pack_signs(x, h))
 
     result = benchmark(engine_step)
     assert result.shape == (BATCH, GATES * NEURONS)
@@ -71,7 +70,7 @@ def test_paths_agree(benchmark, phase_operands):
     weight_signs = _signs(np.concatenate([w_x, w_h], axis=1))
 
     def both():
-        return _signs(operand) @ weight_signs.T, gate.evaluate_packed(pack_signs(operand))
+        return _signs(operand) @ weight_signs.T, gate.evaluate_packed(pack_signs(x, h))
 
     plain, packed = benchmark.pedantic(both, rounds=1, iterations=1)
     np.testing.assert_array_equal(plain, packed)

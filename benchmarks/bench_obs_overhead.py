@@ -84,12 +84,10 @@ def _on_gates_hookfree(self, cell, phase, x, h, preacts):
     predictor = self._phase_predictors[phase.index]
     table = self._tables[phase.index]
     packed = operand = None
-    if predictor.REQUIRES:
+    if "packed" in predictor.REQUIRES:
+        packed = pack_signs(x, h)
+    if "operand" in predictor.REQUIRES:
         operand = np.concatenate([x, h], axis=-1)
-        if "packed" in predictor.REQUIRES:
-            packed = pack_signs(operand)
-            if "operand" not in predictor.REQUIRES:
-                operand = None
     mask = predictor.predict_many(packed, preacts=preacts, operand=operand, memo=table.memo)
     outputs = table.substitute(mask, preacts)
     self.stats.record(self.name, phase.gates, mask)

@@ -42,35 +42,51 @@ Array = np.ndarray
 #: i.e. 32 of these 64-bit lanes.
 _WORD_BITS = 64
 
-#: uint8 bytes per packed word (``np.packbits`` emits bytes; groups of
-#: eight bytes are reinterpreted as one ``uint64`` lane).
-_BYTES_PER_WORD = _WORD_BITS // 8
-
 #: Operand words whose popcounts share one uint8 group count: a group
 #: holds at most ``3 * 64 = 192`` mismatches, and a fourth word could
 #: take it past 255.
 _GROUP_WORDS = 3
 
 
-def pack_signs(x: Array) -> Array:
-    """Pack sign bits of ``x`` along the last axis into uint64 words.
+def pack_signs(*blocks: Array) -> Array:
+    """Pack the sign bits of ``blocks``, joined along the last axis, into
+    uint64 words.
 
-    The last axis is padded with zero-bits up to a multiple of 64 (the
-    packed dot product corrects for padding via the true bit length).
-    Both operands of :func:`binary_dot_packed` must be packed by this
-    function: the byte order inside each word is platform-native, which
-    cancels in XOR/popcount as long as the two sides agree.
+    ``pack_signs(a, b)`` returns the words that packing the concatenation
+    ``np.concatenate([a, b], -1)`` would, without building that float
+    copy: each block's ``>= 0`` booleans are written side by side into
+    one bool buffer whose last axis is padded with zero-bits up to a
+    multiple of 64 (the packed dot product corrects for padding via the
+    true bit length), and the buffer packs once.  The engine packs a
+    phase operand ``(x, h)`` and a gate mirror its weights ``(w_x, w_h)``
+    this way; one block packs alone.  Both operands of
+    :func:`binary_dot_packed` must be packed by this function: the byte
+    order inside each word is platform-native, which cancels in
+    XOR/popcount as long as the two sides agree.
+
+    Raises:
+        ValueError: if no block is given or the blocks' leading shapes
+            differ.
     """
-    packed = np.packbits(np.asarray(x) >= 0, axis=-1)
-    remainder = packed.shape[-1] % _BYTES_PER_WORD
-    if remainder:
-        pad_shape = packed.shape[:-1] + (_BYTES_PER_WORD - remainder,)
-        packed = np.concatenate(
-            [packed, np.zeros(pad_shape, dtype=np.uint8)], axis=-1
-        )
-    if not packed.flags["C_CONTIGUOUS"]:
-        packed = np.ascontiguousarray(packed)
-    return packed.view(np.uint64)
+    if not blocks:
+        raise ValueError("pack_signs needs at least one block")
+    blocks = [np.asarray(block) for block in blocks]
+    lead = blocks[0].shape[:-1]
+    n_bits = 0
+    for block in blocks:
+        if block.shape[:-1] != lead:
+            raise ValueError(
+                "blocks must share their leading shape, got "
+                f"{[block.shape for block in blocks]}"
+            )
+        n_bits += block.shape[-1]
+    signs = np.zeros(lead + (-(-n_bits // _WORD_BITS) * _WORD_BITS,), dtype=bool)
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[-1]
+        np.greater_equal(block, 0, out=signs[..., start:stop])
+        start = stop
+    return np.packbits(signs, axis=-1).view(np.uint64)
 
 
 def binary_dot_packed(w_words: Array, x_packed: Array, n_bits: int) -> Array:

@@ -6,20 +6,24 @@ binarizes the concatenated operand ``[x_t ; h_{t-1}]`` and produces the
 integer dot product of Equation 8 for every neuron — the signal the
 memoization predictor thresholds on.
 
-A gate may mirror a *stack* of gates: the engine concatenates
-the per-gate weight matrices of a whole phase along the neuron axis and
-builds one ``BinaryGate`` over the stack, so a single XNOR/popcount pass
+A gate may mirror a *stack* of gates: the engine builds one
+``BinaryGate`` over a whole phase's stacked weight rows (every gate's
+block along the neuron axis), so a single XNOR/popcount pass
 (:meth:`BinaryGate.evaluate_packed`) covers every gate of the cell.
 
 The gate stores its weight signs once, packed at construction into the
 word-major ``(W, N)`` uint64 layout of
 :func:`~repro.core.binarization.binary_dot_packed`: row ``k`` holds
 word ``k`` of all ``N`` neurons, so the kernel's per-word pass reads one
-contiguous row.  A phase evaluation at batch ``B`` then costs one
-``(B, N)`` XOR/popcount/add slab per 64-bit operand word.  That popcount
-kernel is the gate's only evaluation: the engine's predictor and the
-Figures 7-8 correlation analysis (:mod:`repro.core.correlation`) both
-call :meth:`BinaryGate.evaluate_packed`.
+contiguous row.  Construction packs the signs of ``W_x`` and ``W_h``
+straight into one bool buffer (``pack_signs(w_x, w_h)``) an eighth the
+size of the float weights, so a mirror never copies the full-precision
+``[W_x | W_h]`` it binarizes.  A phase evaluation at batch ``B`` then
+costs one ``(B, N)`` XOR/popcount/add slab per 64-bit operand word.
+That popcount kernel is the gate's only evaluation: the engine's
+predictor and the Figures 7-8 correlation analysis
+(:mod:`repro.core.correlation`) both call
+:meth:`BinaryGate.evaluate_packed`.
 """
 
 from __future__ import annotations
@@ -53,15 +57,14 @@ class BinaryGate:
         self.input_size = w_x.shape[1]
         self.recurrent_size = w_h.shape[1]
         self.n_bits = self.input_size + self.recurrent_size
-        packed = pack_signs(np.concatenate([w_x, w_h], axis=1))
         #: ``(W, N)`` word-major packed weight signs.
-        self.weight_words = np.ascontiguousarray(packed.T)
+        self.weight_words = np.ascontiguousarray(pack_signs(w_x, w_h).T)
 
     def evaluate_packed(self, packed_operand: Array) -> Array:
         """Popcount evaluation of pre-packed operand signs.
 
-        The caller packs the concatenated operand ``[x ; h]`` once per
-        phase (``pack_signs``) and this reduces to
+        The caller packs the operand ``[x ; h]`` once per phase
+        (``pack_signs(x, h)``) and this reduces to
         ``n_bits - 2 * popcount(w XOR x)`` per neuron: Eq. 8's integer
         dot product of the ±1 signs.
 

@@ -83,7 +83,7 @@ class _RecordingHook:
     ) -> Array:
         hidden = cell.hidden_size
         mirror = self.mirrors[phase.index]
-        binary = mirror.evaluate_packed(pack_signs(np.concatenate([x, h], axis=-1)))
+        binary = mirror.evaluate_packed(pack_signs(x, h))
         for i, gate in enumerate(phase.gates):
             columns = slice(i * hidden, (i + 1) * hidden)
             self.full[gate].append(preacts[:, columns].copy())

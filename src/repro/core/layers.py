@@ -117,12 +117,10 @@ class MemoizedRecurrentLayer:
         predictor = self._phase_predictors[phase.index]
         table = self._tables[phase.index]
         packed = operand = None
-        if predictor.REQUIRES:
+        if "packed" in predictor.REQUIRES:
+            packed = pack_signs(x, h)
+        if "operand" in predictor.REQUIRES:
             operand = np.concatenate([x, h], axis=-1)
-            if "packed" in predictor.REQUIRES:
-                packed = pack_signs(operand)
-                if "operand" not in predictor.REQUIRES:
-                    operand = None
         if profiler is not None:
             t0 = perf_counter()
         mask = predictor.predict_many(

@@ -122,17 +122,20 @@ class GatedCell(Module):
         """Register the stacked ``w_x``, ``w_h`` and ``b`` parameters.
 
         Per gate, in ``GATES`` order: a Xavier-uniform ``W_x`` block, then
-        an orthogonal ``W_h`` block, drawn from ``rng`` in that order;
+        an orthogonal ``W_h`` block, drawn from ``rng`` in that order and
+        written straight into the gate's rows of the stacked arrays;
         biases start at zero.
         """
         hidden = self.hidden_size
-        blocks_x, blocks_h = [], []
-        for _ in self.GATES:
-            blocks_x.append(xavier_uniform((hidden, self.input_size), rng))
-            blocks_h.append(orthogonal((hidden, hidden), rng))
-        self.w_x = Parameter(np.concatenate(blocks_x))
-        self.w_h = Parameter(np.concatenate(blocks_h))
-        self.b = Parameter(zeros((len(self.GATES) * hidden,)))
+        rows = len(self.GATES) * hidden
+        w_x = np.empty((rows, self.input_size))
+        w_h = np.empty((rows, hidden))
+        for start in range(0, rows, hidden):
+            w_x[start : start + hidden] = xavier_uniform((hidden, self.input_size), rng)
+            w_h[start : start + hidden] = orthogonal((hidden, hidden), rng)
+        self.w_x = Parameter(w_x)
+        self.w_h = Parameter(w_h)
+        self.b = Parameter(zeros((rows,)))
 
     # -- weight access -------------------------------------------------------
 

@@ -1,10 +1,16 @@
 """Base class for parameterised layers.
 
 ``Module`` keeps an ordered registry of named :class:`Parameter` objects
-(value + gradient accumulator) and of child modules, giving the optimizer
-and the serializer a uniform view of any model tree.  There is no
-autograd: each concrete layer implements its own ``forward``/``backward``
-pair and accumulates into ``Parameter.grad``.
+(a value, plus a gradient accumulator allocated on first use) and of
+child modules, giving the optimizer and the serializer a uniform view of
+any model tree.  There is no autograd: each concrete layer implements
+its own ``forward``/``backward`` pair and accumulates into
+``Parameter.grad``.
+
+A model that only runs inference never touches ``Parameter.grad``, so it
+holds one copy of its weights: the gradient buffer is zero-filled when a
+backward first accumulates into it (or anything first reads it), and
+``zero_grad`` and ``load_state_dict`` never allocate one.
 """
 
 from __future__ import annotations
@@ -17,20 +23,33 @@ Array = np.ndarray
 
 
 class Parameter:
-    """A trainable tensor with a gradient accumulator."""
+    """A trainable tensor with a lazily allocated gradient accumulator."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value: Array):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad: Optional[Array] = None
+
+    @property
+    def grad(self) -> Array:
+        """The gradient accumulator, zero-filled on first use."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: Array) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+        """Zero the accumulator; one never allocated stays unallocated."""
+        if self._grad is not None:
+            self._grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Parameter(shape={self.value.shape})"
@@ -89,6 +108,10 @@ class Module:
     def load_state_dict(self, state: Dict[str, Array]) -> None:
         """Load values saved by :meth:`state_dict`.
 
+        Each parameter gets its own float64 copy of the loaded value and
+        drops its gradient buffer, which the next backward allocates
+        zeroed.
+
         Raises:
             KeyError: if ``state`` is missing a parameter.
             ValueError: if a shape does not match.
@@ -98,14 +121,14 @@ class Module:
         if missing:
             raise KeyError(f"state dict missing parameters: {missing}")
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.array(state[name], dtype=np.float64)
             if value.shape != param.value.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: "
                     f"expected {param.value.shape}, got {value.shape}"
                 )
-            param.value = value.copy()
-            param.grad = np.zeros_like(param.value)
+            param.value = value
+            param._grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(params={self.num_parameters()})"

@@ -272,6 +272,11 @@ class ServeState:
         #: Streaming sessions record here; replica stats live on the
         #: replicas and are merged in at read time.
         self.stats = ThreadSafeReuseStats()
+        #: Serializes retunes for their whole length, clone builds
+        #: included, so ``self.lock`` is held only for the short reads and
+        #: the pool swap.  Lock order: ``_retune_lock`` -> ``lock`` ->
+        #: ``_pending_cond`` (``pytest --lock-sanitizer`` checks it).
+        self._retune_lock = threading.Lock()
         self.lock = threading.RLock()
         self.scheme = scheme  # guarded-by: lock
         self.scheme_version = 1  # guarded-by: lock
@@ -575,13 +580,15 @@ class ServeState:
 
         ``updates`` may set ``theta``, ``layer_thetas`` (a mapping, or
         ``None`` to clear the overrides), ``predictor`` and ``throttle``.
-        The retune builds one :func:`memoized_clone` per replica under
-        the new scheme while the pool keeps serving, so a failed build
-        raises with every replica, ``scheme`` and ``scheme_version``
-        unchanged.  It then drains the pool — in-flight forwards finish
-        under the scheme they started with — points each replica at its
-        clone, bumps ``scheme_version`` exactly once, and returns the
-        pool, which is therefore never mixed-scheme.
+        Retunes run one at a time.  A retune builds one
+        :func:`memoized_clone` per replica under the new scheme without
+        holding ``self.lock``, so requests, sessions and ``metrics()``
+        keep being served meanwhile, and a failed build raises with
+        every replica, ``scheme`` and ``scheme_version`` unchanged.  It
+        then takes ``self.lock`` and drains the pool — in-flight
+        forwards finish under the scheme they started with — points each
+        replica at its clone, bumps ``scheme_version`` exactly once, and
+        returns the pool, which is therefore never mixed-scheme.
         """
         allowed = {"theta", "layer_thetas", "predictor", "throttle"}
         unknown = set(updates) - allowed
@@ -617,37 +624,40 @@ class ServeState:
             raise ValueError("predictor must be a string")
         if "throttle" in changes and not isinstance(changes["throttle"], bool):
             raise ValueError("throttle must be a boolean")
-        with self.lock:
-            new_scheme = replace(self.scheme, **changes)  # may raise ValueError
+        with self._retune_lock:
+            with self.lock:
+                scheme = self.scheme
+            new_scheme = replace(scheme, **changes)  # may raise ValueError
             clones = [
                 memoized_clone(self.benchmark.model, new_scheme, replica.stats)
                 for replica in self._replicas
             ]
-            version = self.scheme_version + 1
-            with self._pending_cond:
-                # Drain: hold each replica as it comes back idle.
-                drained: List[Replica] = []
-                while len(drained) < len(self._replicas):
-                    if not self._idle:
-                        self._pending_cond.wait()
-                    drained += self._idle
-                    self._idle.clear()
-                for replica, clone in zip(self._replicas, clones):
-                    replica.model = clone
-                    replica.scheme = new_scheme
-                    replica.scheme_version = version
-                self._idle.extend(drained)
-                self._pending_cond.notify_all()
-            self.scheme = new_scheme
-            self.scheme_version = version
-            self.events.emit(
-                "retune",
-                scheme_version=version,
-                theta=new_scheme.theta,
-                predictor=new_scheme.predictor,
-                changed=sorted(changes),
-            )
-            return self.scheme_info()
+            with self.lock:
+                version = self.scheme_version + 1
+                with self._pending_cond:
+                    # Drain: hold each replica as it comes back idle.
+                    drained: List[Replica] = []
+                    while len(drained) < len(self._replicas):
+                        if not self._idle:
+                            self._pending_cond.wait()
+                        drained += self._idle
+                        self._idle.clear()
+                    for replica, clone in zip(self._replicas, clones):
+                        replica.model = clone
+                        replica.scheme = new_scheme
+                        replica.scheme_version = version
+                    self._idle.extend(drained)
+                    self._pending_cond.notify_all()
+                self.scheme = new_scheme
+                self.scheme_version = version
+                self.events.emit(
+                    "retune",
+                    scheme_version=version,
+                    theta=new_scheme.theta,
+                    predictor=new_scheme.predictor,
+                    changed=sorted(changes),
+                )
+                return self.scheme_info()
 
     # -- streaming sessions -------------------------------------------------
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binarization import binary_dot_packed, pack_signs, padded_bit_length
+from repro.core.bnn import BinaryGate
 
 from helpers import binarize, binarize_bits, binary_dot, unpack_signs
 
@@ -174,6 +175,58 @@ class TestSignAgreement:
         v = rng.standard_normal((1, n_bits))
         packed = pack_signs(v)
         assert binary_dot_packed(packed.T, packed[0], n_bits)[0] == n_bits
+
+
+#: ``(first, second)`` block widths in bits: single bits, word edges,
+#: the zoo's operand splits, EESEN's and MNMT's paper operands and a
+#: second block that runs 32 words past a one-bit first block.
+BLOCK_WIDTHS = [
+    (1, 1), (63, 1), (64, 64), (16, 20), (24, 20), (640, 320), (1024, 1024), (1, 2047),
+]
+BLOCK_IDS = [f"{first}+{second}" for first, second in BLOCK_WIDTHS]
+
+
+class TestPackBlocks:
+    """``pack_signs(*blocks)`` packs the words of the blocks'
+    concatenation, bit for bit, without building it."""
+
+    @staticmethod
+    def blocks(widths, form):
+        rng = np.random.default_rng(list(widths))
+        lead = () if form == "1-D" else (3,)
+        if form == "three blocks":
+            widths = widths + widths[:1]
+        blocks = [rng.standard_normal(lead + (width,)) for width in widths]
+        for block in blocks:
+            block[..., ::5] = 0.0  # Eq. 7: exact zeros pack as +1
+        return blocks
+
+    @pytest.mark.parametrize("form", ["1-D", "2-D", "three blocks"])
+    @pytest.mark.parametrize("widths", BLOCK_WIDTHS, ids=BLOCK_IDS)
+    def test_blocks_pack_like_their_concatenation(self, widths, form):
+        blocks = self.blocks(widths, form)
+        np.testing.assert_array_equal(
+            pack_signs(*blocks), pack_signs(np.concatenate(blocks, -1))
+        )
+
+    @pytest.mark.parametrize("widths", BLOCK_WIDTHS, ids=BLOCK_IDS)
+    def test_binary_gate_packs_its_weights_like_their_concatenation(self, widths):
+        w_x, w_h = self.blocks(widths, "2-D")
+        np.testing.assert_array_equal(
+            BinaryGate(w_x, w_h).weight_words,
+            pack_signs(np.concatenate([w_x, w_h], 1)).T,
+        )
+
+    @pytest.mark.parametrize(
+        "shapes", [((2, 3), (3, 3)), ((3,), (1, 3)), ((2, 1, 4), (2, 4))]
+    )
+    def test_leading_shapes_must_agree(self, shapes):
+        with pytest.raises(ValueError, match="leading shape"):
+            pack_signs(*(np.ones(shape) for shape in shapes))
+
+    def test_needs_a_block(self):
+        with pytest.raises(ValueError):
+            pack_signs()
 
 
 class TestPaddedBitLength:

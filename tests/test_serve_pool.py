@@ -369,6 +369,54 @@ class TestPoolRetune:
         assert not retune.is_alive()
         assert state.scheme_version == 2
 
+    def test_sessions_and_metrics_are_served_while_a_retune_builds(
+        self, speech, monkeypatch
+    ):
+        """The retune builds its clones without holding the state lock,
+        so sessions open and feed, and ``metrics()`` answers, mid-build."""
+        state = pooled_state(speech, replicas=2)
+        building = threading.Event()
+        release = threading.Event()
+
+        def build(real, model, scheme, stats, rows):
+            if scheme.theta == 0.5:
+                building.set()
+                release.wait(timeout=60)
+            return real(model, scheme, stats, rows)
+
+        self.patch_clone_builds(monkeypatch, build)
+        retune = threading.Thread(target=state.retune, args=({"theta": 0.5},))
+        retune.start()
+        replies = {}
+        chunk = speech.dataset.features[int(speech.test_idx[0])][:4].tolist()
+
+        def session():
+            opened = state.open_session()
+            replies["feed"] = state.session_feed(opened["session"], chunk)
+
+        threads = [
+            threading.Thread(target=session, daemon=True),
+            threading.Thread(
+                target=lambda: replies.update(metrics=state.metrics()),
+                daemon=True,
+            ),
+        ]
+        try:
+            assert building.wait(timeout=5)
+            started = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=max(0.0, 1.0 - (time.monotonic() - started)))
+            assert not any(thread.is_alive() for thread in threads)
+            assert replies["feed"]["scheme_version"] == 1
+            assert replies["metrics"]["scheme"]["scheme_version"] == 1
+        finally:
+            release.set()
+            retune.join(timeout=60)
+        assert not retune.is_alive()
+        assert state.scheme_version == 2
+
     def test_a_failed_clone_build_leaves_every_replica_untouched(
         self, imdb, monkeypatch
     ):
