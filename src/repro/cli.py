@@ -62,7 +62,6 @@ from repro.runner import (
     read_token_file,
 )
 from repro.serve import (
-    DEFAULT_COALESCE_MS,
     DEFAULT_SERVE_PORT,
     DEFAULT_SESSION_TTL,
     InferenceServer,
@@ -402,17 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--coalesce-ms",
-        type=float,
-        default=DEFAULT_COALESCE_MS,
-        metavar="MS",
-        help=(
-            "gather window for coalescing equal-shape rows from waiting "
-            "requests into one forward while all replicas are busy; 0 "
-            f"disables coalescing (default: {DEFAULT_COALESCE_MS})"
-        ),
-    )
-    serve.add_argument(
         "--session-ttl",
         type=float,
         default=DEFAULT_SESSION_TTL,
@@ -716,7 +704,6 @@ def _cmd_serve(args) -> str:
             bench,
             scheme,
             replicas=args.replicas,
-            coalesce_ms=args.coalesce_ms,
             session_ttl=args.session_ttl,
         )
     except ValueError as exc:
@@ -726,7 +713,7 @@ def _cmd_serve(args) -> str:
     print(
         f"serving {args.network} at {server.url} (theta={scheme.theta}, "
         f"predictor={scheme.predictor}, {state.replica_count} replica(s), "
-        f"coalesce {state.coalesce_ms:g} ms, {auth}); Ctrl-C to stop",
+        f"{auth}); Ctrl-C to stop",
         flush=True,
     )
     try:

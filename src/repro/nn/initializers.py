@@ -29,7 +29,7 @@ def uniform(
     high: float = 0.1,
 ) -> Array:
     """Uniform initialization in ``[low, high)``."""
-    return rng.uniform(low, high, size=shape).astype(np.float64)
+    return rng.uniform(low, high, size=shape)
 
 
 def xavier_uniform(shape: Shape, rng: np.random.Generator) -> Array:
@@ -43,7 +43,7 @@ def xavier_uniform(shape: Shape, rng: np.random.Generator) -> Array:
     else:
         fan_out, fan_in = int(shape[-2]), int(shape[-1])
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def orthogonal(shape: Shape, rng: np.random.Generator, gain: float = 1.0) -> Array:
@@ -55,10 +55,9 @@ def orthogonal(shape: Shape, rng: np.random.Generator, gain: float = 1.0) -> Arr
     if len(shape) != 2:
         raise ValueError(f"orthogonal init requires a 2-D shape, got {tuple(shape)}")
     rows, cols = int(shape[0]), int(shape[1])
-    flat = rng.standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
+    q, r = np.linalg.qr(rng.standard_normal((max(rows, cols), min(rows, cols))))
     # Sign correction so the distribution is uniform over orthogonal matrices.
     q *= np.sign(np.diag(r))
-    if rows < cols:
-        q = q.T
-    return (gain * q[:rows, :cols]).astype(np.float64)
+    del r
+    q *= gain
+    return q.T if rows < cols else q

@@ -10,7 +10,6 @@ HTTP surface and :mod:`repro.serve.state` for the serving semantics.
 from repro.serve.loadgen import ServeClient, ServeError, run_loadgen
 from repro.serve.server import DEFAULT_SERVE_PORT, InferenceServer
 from repro.serve.state import (
-    DEFAULT_COALESCE_MS,
     DEFAULT_SESSION_TTL,
     MAX_INFER_ROWS,
     ServeState,
@@ -18,7 +17,6 @@ from repro.serve.state import (
 )
 
 __all__ = [
-    "DEFAULT_COALESCE_MS",
     "DEFAULT_SERVE_PORT",
     "DEFAULT_SESSION_TTL",
     "MAX_INFER_ROWS",

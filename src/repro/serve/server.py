@@ -75,7 +75,6 @@ class InferenceHandler(JsonApiHandler):
             "streamable": state.benchmark.streamable,
             "scheme_version": state.scheme_version,
             "replicas": state.replica_count,
-            "coalesce_ms": state.coalesce_ms,
         }
 
     def _ep_infer(self, body: Dict[str, object]) -> Dict[str, object]:

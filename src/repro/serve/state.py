@@ -18,17 +18,18 @@ compare.  The float activations behind them are not bitwise
 batch-invariant: a BLAS GEMM may round a row differently depending on
 how many rows it computes at once, by about 1e-16.
 
-On top of the pool sits a **coalescing batcher**.  Requests do not go
-straight to a replica: each validated request becomes a job on a shared
-pending queue, and whichever request thread checks out a replica first
-acts as the *leader* — it drains every waiting equal-shape job (bounded
-by :data:`MAX_INFER_ROWS`), stacks their rows into one forward, and
-unstacks the outputs per job.  While all other replicas are busy and
-requests are visibly coalescing, the leader holds a short gather window
-(``coalesce_ms``) for stragglers; a lone request never waits.  This is
-the few-builders/many-front-ends topology of the DAQ event-builder
-papers: many cheap HTTP acceptor threads feeding a small set of compute
-replicas.  Coalescing is latency policy only — by row independence the
+On top of the pool sits a **coalescing batcher** with one rule.
+Requests do not go straight to a replica: each validated request becomes
+a job on a shared pending queue, and whichever request thread checks out
+a replica first acts as the *leader*.  It claims every pending job that
+stacks with the oldest one — FIFO, same row shape, at most
+:data:`MAX_INFER_ROWS` rows in all, a ragged job alone — runs their rows
+as one forward at once, and unstacks the outputs per job.  A leader
+never waits for jobs that have not arrived: jobs that queue up during a
+forward are what the next leader stacks.  This is the
+few-builders/many-front-ends topology of the DAQ event-builder papers:
+many cheap HTTP acceptor threads feeding a small set of compute
+replicas.  Coalescing changes no output — by row independence the
 stacked forward returns the same outputs as the per-request forwards.
 One condition, ``_pending_cond``, guards the pending queue, the idle
 list and the serving counters; a request waiting for a replica sleeps
@@ -92,12 +93,6 @@ Array = np.ndarray
 #: forward: enough for any sane client batch, small enough that one
 #: forward cannot monopolise a replica for an unbounded stretch.
 MAX_INFER_ROWS = 256
-
-#: Default gather window for the coalescing batcher, in milliseconds.
-#: Only consulted when every other replica is busy and at least two
-#: jobs already coalesced — a lone request is never delayed by it.
-#: Zero disables coalescing entirely (one request per forward).
-DEFAULT_COALESCE_MS = 2.0
 
 #: Default idle TTL for streaming sessions, in seconds (~10 min).  A
 #: non-positive TTL disables eviction.
@@ -247,9 +242,6 @@ class ServeState:
         scheme: the initial memoization scheme.
         max_sessions: open streaming sessions allowed at once.
         replicas: compute copies in the pool (>= 1).
-        coalesce_ms: gather window of the coalescing batcher; ``0``
-            disables coalescing entirely (one request per forward — the
-            single-model baseline behaviour).
         session_ttl: seconds a streaming session may sit idle before it
             is evicted; non-positive disables eviction.
     """
@@ -260,13 +252,10 @@ class ServeState:
         scheme: MemoizationScheme,
         max_sessions: int = 64,
         replicas: int = 1,
-        coalesce_ms: float = DEFAULT_COALESCE_MS,
         session_ttl: float = DEFAULT_SESSION_TTL,
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if coalesce_ms < 0:
-            raise ValueError("coalesce_ms must be non-negative")
         benchmark.ensure_trained()
         self.benchmark = benchmark
         #: Streaming sessions record here; replica stats live on the
@@ -287,8 +276,6 @@ class ServeState:
             Replica(index, benchmark.model, scheme, self.scheme_version)
             for index in range(replicas)
         ]
-        self.coalesce_ms = float(coalesce_ms)
-        self._coalesce_s = self.coalesce_ms / 1000.0
         #: Guards the pending queue, the idle replicas and the serving
         #: counters below.  Leaders take only this condition while
         #: holding a replica — never ``self.lock``, which a retune holds
@@ -357,7 +344,7 @@ class ServeState:
         job = _InferJob(rows, request_id=request_id)
         with self._pending_cond:
             self._pending.append(job)
-            self._pending_cond.notify_all()  # wake gather-window leaders
+            self._pending_cond.notify_all()
         while True:
             with self._pending_cond:
                 # Sleep until our job is done, or a replica is idle with
@@ -433,63 +420,38 @@ class ServeState:
         return timings_ms
 
     def _gather_batch(self) -> List[_InferJob]:
-        """Claim a coalesced batch of pending jobs for one forward.
+        """Claim every pending job that stacks with the oldest one.
 
-        The head of the pending queue defines the batch: every waiting
-        job with the same row shape joins it (FIFO, skipping
-        incompatible shapes) until :data:`MAX_INFER_ROWS`.  A ragged job
-        rides alone.  The gather window is only held when this is the
-        last free replica *and* at least two jobs already coalesced —
-        evidence of real concurrency; a lone request is never delayed.
+        The oldest pending job heads the batch, and each later job of
+        the same row shape joins it, in FIFO order, while the batch stays
+        within :data:`MAX_INFER_ROWS` rows.  Jobs of another shape, and
+        jobs that would pass the cap, stay pending for the next forward.
+        A ragged job rides alone.  The scan takes only what is already
+        pending and never waits: a job that arrives during this forward
+        is stacked by the next leader.
         """
-        batch: List[_InferJob] = []
-        total_rows = 0
-        deadline = None
         with self._pending_cond:
-            if self._coalesce_s <= 0:
-                # Coalescing off: one job per forward — the PR 7-style
-                # baseline the replica-sweep bench compares against.
-                if not self._pending:
-                    return []
-                job = self._pending.pop(0)
-                job.claimed = time.perf_counter()
-                return [job]
-            while True:
-                index = 0
-                while index < len(self._pending) and total_rows < MAX_INFER_ROWS:
-                    job = self._pending[index]
-                    if not batch:
-                        del self._pending[index]
-                        job.claimed = time.perf_counter()
-                        batch.append(job)
-                        total_rows += len(job.rows)
-                        if job.shape_key is None:
-                            return batch
-                        continue
+            if not self._pending:
+                return []
+            head = self._pending.pop(0)
+            batch = [head]
+            if head.shape_key is not None:
+                total_rows = len(head.rows)
+                waiting: List[_InferJob] = []
+                for job in self._pending:
                     if (
-                        job.shape_key == batch[0].shape_key
+                        job.shape_key == head.shape_key
                         and total_rows + len(job.rows) <= MAX_INFER_ROWS
                     ):
-                        del self._pending[index]
-                        job.claimed = time.perf_counter()
                         batch.append(job)
                         total_rows += len(job.rows)
-                        continue
-                    index += 1
-                if not batch:
-                    return []
-                if (
-                    len(batch) < 2
-                    or total_rows >= MAX_INFER_ROWS
-                    or self._idle
-                ):
-                    return batch
-                if deadline is None:
-                    deadline = time.monotonic() + self._coalesce_s
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return batch
-                self._pending_cond.wait(remaining)
+                    else:
+                        waiting.append(job)
+                self._pending[:] = waiting
+            claimed = time.perf_counter()
+            for job in batch:
+                job.claimed = claimed
+            return batch
 
     def _run_one_batch(self, replica: Replica) -> None:
         """Serve one coalesced batch (possibly empty) on ``replica``."""
@@ -683,28 +645,40 @@ class ServeState:
                     idle_s=round(now - session.last_used, 3),
                 )
 
+    # checks: holds-lock lock
+    def _require_session_room(self) -> None:
+        """Evict idle sessions, then refuse a new one if the table is
+        still full (caller holds ``self.lock``)."""
+        self._evict_idle_sessions(time.monotonic())
+        if len(self.sessions) >= self.max_sessions:
+            raise ValueError(
+                f"too many open sessions (limit {self.max_sessions}); "
+                "close one first"
+            )
+
     def open_session(self) -> Dict[str, object]:
+        """Open a streaming session under the live scheme.
+
+        The session's clone is built without holding ``self.lock``, so
+        ``metrics()``, other sessions and a retune's swap are served
+        meanwhile.  The table is checked before the build, which a full
+        table skips, and again before the session is registered, since
+        other opens may have filled it during the build.
+        """
         if not self.benchmark.streamable:
             raise ValueError(
                 f"model {self.benchmark.name!r} does not support streaming "
                 "sessions (only unidirectional speech stacks do)"
             )
-        now = time.monotonic()
         with self.lock:
-            self._evict_idle_sessions(now)
-            if len(self.sessions) >= self.max_sessions:
-                raise ValueError(
-                    f"too many open sessions (limit {self.max_sessions}); "
-                    "close one first"
-                )
-            session_id = os.urandom(8).hex()
-            session = StreamSession(
-                session_id,
-                self.benchmark.model,
-                self.scheme,
-                self.scheme_version,
-                self.stats,
-            )
+            self._require_session_room()
+            scheme, scheme_version = self.scheme, self.scheme_version
+        session_id = os.urandom(8).hex()
+        session = StreamSession(
+            session_id, self.benchmark.model, scheme, scheme_version, self.stats
+        )
+        with self.lock:
+            self._require_session_room()
             self.sessions[session_id] = session
             self.sessions_opened += 1
         self.events.emit(
@@ -873,7 +847,6 @@ class ServeState:
                     ],
                 }
                 coalesce = {
-                    "window_ms": self.coalesce_ms,
                     "batches": self.batches,
                     "coalesced_batches": self.coalesced_batches,
                     "max_batch_jobs": self.max_batch_jobs,

@@ -8,11 +8,16 @@ The load-bearing properties:
 - K concurrent requests against an N-replica pool all answer bitwise
   identical to the offline batch path — whichever replica served them,
   and whether or not the coalescer stacked them into shared forwards.
+- The coalescer has one rule: a leader stacks every pending job of the
+  oldest job's row shape, in FIFO order and within the row cap, runs
+  it at once, and never waits for jobs that have not arrived.
 - `PUT /theta` retunes the *whole pool* atomically: one version bump,
   every replica on the new scheme, and a failed retune leaves every
   replica on the old one.  The new clones are built before the pool is
   drained, so requests are served while a retune builds, and a failed
-  build has nothing to undo.
+  build has nothing to undo.  A session open builds its clone outside
+  the state lock too, and the session cap holds across overlapping
+  opens.
 - The serve-tier bugfix sweep: boolean/non-finite thresholds are
   rejected at the door, idle sessions are evicted instead of leaking,
   and `/metrics` reports reuse counters consistent with the
@@ -68,6 +73,61 @@ def pooled_state(benchmark, scheme=None, **kwargs):
     return ServeState(
         benchmark, scheme or MemoizationScheme(theta=THETA), **kwargs
     )
+
+
+def offline_outputs(benchmark, scheme, rows):
+    """The offline memoized batch path's outputs for equal-shape ``rows``."""
+    with memoized(benchmark.model, scheme, ReuseStats()):
+        return benchmark.outputs(np.asarray(rows))
+
+
+def serve_parked(state, requests):
+    """Serve ``requests`` (each a list of JSON rows) through a
+    one-replica ``state`` whose replica is held until every request's
+    job is pending, parked in list order.  Returns each request's
+    outputs."""
+    # Hold the only replica hostage: every request must park its job on
+    # the pending queue and wait on the empty pool.
+    with state._pending_cond:
+        replica = state._idle.pop()
+    outputs = [None] * len(requests)
+
+    def one(position):
+        outputs[position] = state.infer(requests[position])["outputs"]
+
+    threads = []
+    for position in range(len(requests)):
+        threads.append(threading.Thread(target=one, args=(position,), daemon=True))
+        threads[-1].start()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with state._pending_cond:
+                if len(state._pending) == position + 1:
+                    break
+            time.sleep(0.005)
+        with state._pending_cond:
+            assert len(state._pending) == position + 1
+    # Releasing the replica lets one leader claim it and serve what is
+    # pending.
+    with state._pending_cond:
+        state._idle.append(replica)
+        state._pending_cond.notify_all()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return outputs
+
+
+def patch_clone_builds(monkeypatch, build):
+    """Route every memoized clone build through ``build``, which is
+    handed the real ``apply_memoization`` and its arguments."""
+    real = engine_module.apply_memoization
+
+    def patched(model, scheme, stats, rows=None):
+        return build(real, model, scheme, stats, rows)
+
+    monkeypatch.setattr(engine_module, "apply_memoization", patched)
+    monkeypatch.setattr(serve_state, "apply_memoization", patched)
 
 
 class TestCloneWithSharedParameters:
@@ -156,7 +216,7 @@ class TestReplicaPool:
         indices = [int(i) for i in imdb.test_idx[:8]]
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, indices)
-        state = pooled_state(imdb, scheme, replicas=3, coalesce_ms=0.0)
+        state = pooled_state(imdb, scheme, replicas=3)
         outputs = []
         errors = []
 
@@ -183,47 +243,16 @@ class TestReplicaPool:
         assert metrics["pool"]["replicas"] == 3
         assert metrics["pool"]["available"] == 3
         assert metrics["inference"]["requests"] == len(indices)
-        # coalesce_ms=0 means one request per forward, always.
-        assert metrics["coalesce"]["batches"] == len(indices)
-        assert metrics["coalesce"]["coalesced_batches"] == 0
 
     def test_coalescer_stacks_waiting_jobs_into_one_forward(self, imdb):
         indices = [int(i) for i in imdb.test_idx[:4]]
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, indices)
-        state = pooled_state(imdb, scheme, replicas=1, coalesce_ms=1.0)
-        # Hold the only replica hostage: every request must park its
-        # job on the pending queue and wait on the empty pool.
-        with state._pending_cond:
-            replica = state._idle.pop()
-        outputs = [None] * len(indices)
-
-        def one(index, position):
-            reply = state.infer([imdb.dataset.tokens[index].tolist()])
-            outputs[position] = reply["outputs"][0]
-
-        threads = [
-            threading.Thread(target=one, args=(index, position))
-            for position, index in enumerate(indices)
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            with state._pending_cond:
-                if len(state._pending) == len(indices):
-                    break
-            time.sleep(0.005)
-        with state._pending_cond:
-            assert len(state._pending) == len(indices)
-        # Releasing the replica lets exactly one leader claim it and
-        # serve the whole backlog as one stacked forward.
-        with state._pending_cond:
-            state._idle.append(replica)
-            state._pending_cond.notify_all()
-        for thread in threads:
-            thread.join()
-        assert outputs == expected
+        state = pooled_state(imdb, scheme, replicas=1)
+        outputs = serve_parked(
+            state, [[imdb.dataset.tokens[index].tolist()] for index in indices]
+        )
+        assert [reply[0] for reply in outputs] == expected
         metrics = state.metrics()
         assert metrics["coalesce"]["batches"] == 1
         assert metrics["coalesce"]["coalesced_batches"] == 1
@@ -231,6 +260,68 @@ class TestReplicaPool:
         assert metrics["coalesce"]["batch_jobs_hist"] == {
             str(len(indices)): 1
         }
+
+    def test_a_leader_never_waits_for_jobs_that_have_not_arrived(self, imdb):
+        indices = [int(i) for i in imdb.test_idx[:2]]
+        scheme = MemoizationScheme(theta=THETA)
+        expected = expected_outputs(imdb, scheme, indices)
+        state = pooled_state(imdb, scheme, replicas=1)
+        timeouts = []
+        wait = state._pending_cond.wait
+
+        def recording_wait(timeout=None):
+            timeouts.append(timeout)
+            return wait(timeout)
+
+        state._pending_cond.wait = recording_wait
+        outputs = serve_parked(
+            state, [[imdb.dataset.tokens[index].tolist()] for index in indices]
+        )
+        assert [reply[0] for reply in outputs] == expected
+        assert state.metrics()["coalesce"]["batch_jobs_hist"] == {"2": 1}
+        # The parked requests waited for the replica; no leader waited
+        # on a clock for more jobs.
+        assert timeouts
+        assert all(timeout is None for timeout in timeouts)
+
+    def test_jobs_of_another_shape_wait_for_the_next_forward(self, imdb):
+        scheme = MemoizationScheme(theta=THETA)
+        rows = imdb.dataset.tokens[np.asarray(imdb.test_idx[:3])]
+        requests = [[rows[0].tolist()], [rows[1][:10].tolist()], [rows[2].tolist()]]
+        expected = [offline_outputs(imdb, scheme, request) for request in requests]
+        state = pooled_state(imdb, scheme, replicas=1)
+        assert serve_parked(state, requests) == expected
+        # The two 20-token jobs share the first forward; the 10-token
+        # job between them runs in the second.
+        assert state.metrics()["coalesce"]["batch_jobs_hist"] == {"1": 1, "2": 1}
+
+    def test_a_job_that_would_pass_the_row_cap_waits(self, imdb):
+        scheme = MemoizationScheme(theta=THETA)
+        tokens = imdb.dataset.tokens
+        requests = [
+            [tokens[i % len(tokens)].tolist() for i in range(200)],
+            [tokens[i % len(tokens)].tolist() for i in range(200, 300)],
+        ]
+        expected = [offline_outputs(imdb, scheme, request) for request in requests]
+        state = pooled_state(imdb, scheme, replicas=1)
+        assert serve_parked(state, requests) == expected
+        coalesce = state.metrics()["coalesce"]
+        assert coalesce["batches"] == 2
+        assert coalesce["max_batch_rows"] == 200
+
+    def test_a_ragged_job_rides_alone(self, imdb):
+        scheme = MemoizationScheme(theta=THETA)
+        rows = imdb.dataset.tokens[np.asarray(imdb.test_idx[:3])]
+        ragged = [rows[0].tolist(), rows[1][:10].tolist()]
+        requests = [ragged, [rows[2].tolist()]]
+        expected = [
+            offline_outputs(imdb, scheme, ragged[:1])
+            + offline_outputs(imdb, scheme, ragged[1:]),
+            offline_outputs(imdb, scheme, requests[1]),
+        ]
+        state = pooled_state(imdb, scheme, replicas=1)
+        assert serve_parked(state, requests) == expected
+        assert state.metrics()["coalesce"]["batches"] == 2
 
     def test_ragged_rows_still_serve(self, speech):
         indices = [int(i) for i in speech.test_idx[:2]]
@@ -250,7 +341,7 @@ class TestLeaderErrors:
         index = int(imdb.test_idx[0])
         scheme = MemoizationScheme(theta=THETA)
         expected = expected_outputs(imdb, scheme, [index])
-        state = pooled_state(imdb, scheme, replicas=1, coalesce_ms=0.0)
+        state = pooled_state(imdb, scheme, replicas=1)
         # Hold the only replica while A (an out-of-vocabulary token:
         # its forward raises) is queued ahead of B.
         with state._pending_cond:
@@ -324,18 +415,6 @@ class TestPoolRetune:
         row = imdb.dataset.tokens[int(imdb.test_idx[0])].tolist()
         assert state.infer([row])["scheme_version"] == before_version
 
-    @staticmethod
-    def patch_clone_builds(monkeypatch, build):
-        """Route every memoized clone build through ``build``, which is
-        handed the real ``apply_memoization`` and its arguments."""
-        real = engine_module.apply_memoization
-
-        def patched(model, scheme, stats, rows=None):
-            return build(real, model, scheme, stats, rows)
-
-        monkeypatch.setattr(engine_module, "apply_memoization", patched)
-        monkeypatch.setattr(serve_state, "apply_memoization", patched)
-
     def test_requests_are_served_while_a_retune_builds(self, imdb, monkeypatch):
         """The retune builds its clones before it drains the pool, so a
         request that arrives mid-build is served under the old scheme."""
@@ -349,7 +428,7 @@ class TestPoolRetune:
                 release.wait(timeout=60)
             return real(model, scheme, stats, rows)
 
-        self.patch_clone_builds(monkeypatch, build)
+        patch_clone_builds(monkeypatch, build)
         retune = threading.Thread(target=state.retune, args=({"theta": 0.5},))
         retune.start()
         reply = {}
@@ -384,7 +463,7 @@ class TestPoolRetune:
                 release.wait(timeout=60)
             return real(model, scheme, stats, rows)
 
-        self.patch_clone_builds(monkeypatch, build)
+        patch_clone_builds(monkeypatch, build)
         retune = threading.Thread(target=state.retune, args=({"theta": 0.5},))
         retune.start()
         replies = {}
@@ -433,7 +512,7 @@ class TestPoolRetune:
                 raise RuntimeError("second clone build fails")
             return real(model, scheme, stats, rows)
 
-        self.patch_clone_builds(monkeypatch, build)
+        patch_clone_builds(monkeypatch, build)
         with pytest.raises(RuntimeError, match="second clone build fails"):
             state.retune({"theta": 0.5})
         assert len(builds) == 2
@@ -459,7 +538,7 @@ class TestPoolRetune:
             version: dict(zip(indices, expected_outputs(imdb, scheme, indices)))
             for version, scheme in schemes.items()
         }
-        state = pooled_state(imdb, schemes[1], replicas=2, coalesce_ms=0.0)
+        state = pooled_state(imdb, schemes[1], replicas=2)
         results = []
         errors = []
         lock = threading.Lock()
@@ -506,7 +585,7 @@ class TestPoolRetune:
             )))
             for theta in thetas
         }
-        state = pooled_state(imdb, replicas=2, coalesce_ms=1.0)
+        state = pooled_state(imdb, replicas=2)
         rounds, workers = 8, 6
         results = []
         errors = []
@@ -574,9 +653,7 @@ class TestHammer:
             )
             for version, scheme in schemes.items()
         }
-        state = pooled_state(
-            speech, schemes[1], replicas=2, coalesce_ms=1.0
-        )
+        state = pooled_state(speech, schemes[1], replicas=2)
         server = InferenceServer(state, quiet=True)
         server.serve_in_thread()
         try:
@@ -756,6 +833,90 @@ class TestSessionTTL:
         assert state.sessions_evicted == 0
 
 
+class TestSessionOpen:
+    """A session's clone is built outside the state lock, and the
+    session cap holds across opens whose builds overlap."""
+
+    def test_metrics_and_sessions_are_served_while_a_session_builds(
+        self, speech, monkeypatch
+    ):
+        state = pooled_state(speech)
+        first = state.open_session()["session"]
+        building = threading.Event()
+        release = threading.Event()
+
+        def build(real, model, scheme, stats, rows):
+            building.set()
+            release.wait(timeout=60)
+            return real(model, scheme, stats, rows)
+
+        patch_clone_builds(monkeypatch, build)
+        opened = {}
+        opener = threading.Thread(
+            target=lambda: opened.update(state.open_session()), daemon=True
+        )
+        chunk = speech.dataset.features[int(speech.test_idx[0])][:4].tolist()
+        replies = {}
+
+        def start(name, call):
+            thread = threading.Thread(
+                target=lambda: replies.update({name: call()}), daemon=True
+            )
+            thread.start()
+            return thread
+
+        opener.start()
+        try:
+            assert building.wait(timeout=5)
+            deadline = time.monotonic() + 1.0
+            metrics = start("metrics", state.metrics)
+            feed = start("feed", lambda: state.session_feed(first, chunk))
+            feed.join(timeout=max(0.0, deadline - time.monotonic()))
+            # The close waits for the feed, which it would otherwise race.
+            close = start("close", lambda: state.close_session(first))
+            for thread in (metrics, close):
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in (metrics, feed, close))
+            assert opener.is_alive()
+            assert replies["metrics"]["sessions"]["opened"] == 1
+            assert replies["feed"]["frames"] == 4
+            assert replies["close"]["frames"] == 4
+        finally:
+            release.set()
+            opener.join(timeout=60)
+        assert not opener.is_alive()
+        assert list(state.sessions) == [opened["session"]]
+
+    def test_concurrent_opens_respect_max_sessions(self, speech, monkeypatch):
+        state = pooled_state(speech, max_sessions=1)
+
+        def build(real, model, scheme, stats, rows):
+            time.sleep(0.2)
+            return real(model, scheme, stats, rows)
+
+        patch_clone_builds(monkeypatch, build)
+        opened = []
+        refused = []
+
+        def open_one():
+            try:
+                opened.append(state.open_session()["session"])
+            except ValueError as exc:
+                refused.append(str(exc))
+
+        threads = [threading.Thread(target=open_one, daemon=True) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(opened) == 1
+        assert refused == ["too many open sessions (limit 1); close one first"]
+        assert list(state.sessions) == opened
+        sessions = state.metrics()["sessions"]
+        assert (sessions["open"], sessions["opened"]) == (1, 1)
+
+
 class TestConcurrentSessions:
     """Bugfix: feeds into different sessions run concurrently over the one
     set of layers, and no timestep may see another session's products."""
@@ -817,7 +978,7 @@ class TestMetricsConsistency:
 
     def test_metrics_aggregate_reuse_across_replicas(self, imdb):
         indices = [int(i) for i in imdb.test_idx[:4]]
-        state = pooled_state(imdb, replicas=2, coalesce_ms=0.0)
+        state = pooled_state(imdb, replicas=2)
         for index in indices:
             state.infer([imdb.dataset.tokens[index].tolist()])
         metrics = state.metrics()
@@ -832,7 +993,7 @@ class TestMetricsConsistency:
 
 class TestLoadgenRetune:
     def test_loadgen_mid_run_retune_verifies_per_version(self, imdb):
-        state = pooled_state(imdb, replicas=2, coalesce_ms=1.0)
+        state = pooled_state(imdb, replicas=2)
         server = InferenceServer(state, quiet=True)
         server.serve_in_thread()
         try:
@@ -861,7 +1022,3 @@ class TestStateValidation:
     def test_bad_pool_parameters_are_rejected(self, imdb):
         with pytest.raises(ValueError, match="replicas"):
             ServeState(imdb, MemoizationScheme(theta=THETA), replicas=0)
-        with pytest.raises(ValueError, match="coalesce"):
-            ServeState(
-                imdb, MemoizationScheme(theta=THETA), coalesce_ms=-1.0
-            )
